@@ -8,23 +8,9 @@ fresh simulated bank as a sanity check.
 
 import argparse
 
-import numpy as np
-
 from srampuf.layout import Geometry, Orientation, PlacedMacro
-from srampuf.metrics import calibrate_noise, wchd
-from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
-
-
-def measure(sigma, probe, chips=10, cycles=10, seed=7):
-    params = ProcessParams(sigma_noise=sigma)
-    bank = ChipBank((probe,), params, seed)
-    values = []
-    for chip in range(chips):
-        enroll = bank.snapshots(chip, 0)[probe.name].bits.reshape(-1)
-        for cycle in range(1, cycles):
-            recon = bank.snapshots(chip, cycle)[probe.name].bits.reshape(-1)
-            values.append(wchd(enroll, recon))
-    return float(np.mean(values))
+from srampuf.metrics import calibrate_noise, mean_reconstruction_wchd
+from srampuf.simchip import DesignEntry, ProcessParams
 
 
 def main():
@@ -43,7 +29,9 @@ def main():
     print("target   sigma_noise   measured")
     for target in args.targets:
         sigma = calibrate_noise(target, ProcessParams(), probe, args.budget)
-        print(f"{target:6.3f}   {sigma:11.6f}   {measure(sigma, probe):8.4f}")
+        measured = mean_reconstruction_wchd(
+            probe, ProcessParams(sigma_noise=sigma), seed=7, chips=10)
+        print(f"{target:6.3f}   {sigma:11.6f}   {measured:8.4f}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from .biasdetect import (
     NoPeriodicity,
     autocorrelation,
     bias_direction,
-    cyclic_notation,
     dominant_period,
     extract_template,
     smooth_template,
@@ -31,7 +30,7 @@ from .chipnet.collector import FLOORPLAN_NAME, MANIFEST_NAME
 from .chipnet.dumpfile import DumpHeader, parse_dump, parse_header, words_to_bits
 from .floorplan import load_config
 from .metrics import MetricsRow, mhw, min_entropy_by_one_probability, wchd
-from .patterns import canonical_cycle
+from .patterns import canonical_cycle, cyclic_notation
 from .simchip import ProcessParams
 
 # Per-reading bit count of the physical reference harness this workbench

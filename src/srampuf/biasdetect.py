@@ -13,18 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .patterns import (  # noqa: F401  (re-exported: the run-length grammar lives here)
-    NonAlternatingBlock,
-    ParseError,
-    RunLengthPattern,
-    bit_runs,
-    canonical_cycle,
-    cyclic_notation,
-    format_run_length,
-    parse_run_length,
-)
-from .simchip import Snapshot
-
 
 class ConstantInput(ValueError):
     """Zero-variance input where structure detection needs contrast."""
@@ -50,11 +38,6 @@ class BiasReport:
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
-
-
-def concat_readout(s: Snapshot) -> np.ndarray:
-    """Snapshot bits as one vector ordered by readout index (addr-major)."""
-    return s.bits.reshape(-1)
 
 
 def autocorrelation(v, max_lag: int | None = None) -> np.ndarray:

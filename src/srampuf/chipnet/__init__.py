@@ -1,30 +1,1 @@
 """Test-harness emulation: wire protocol, dump files, server, collector."""
-
-from .protocol import (
-    OP_POWER_OFF,
-    OP_POWER_ON,
-    OP_READ,
-    OP_SELECT_CHIP,
-    ProtocolError,
-    ReadRequest,
-    ReservedBitSet,
-    ResponseFrame,
-    SelectOutOfRange,
-    WidthTooLarge,
-    decode_request,
-    decode_response,
-    encode_request,
-    encode_response,
-)
-from .dumpfile import DumpFormatError, DumpHeader, dump_filename, format_dump, parse_dump
-from .server import ChipServer, serve
-from .collector import ConnectionLost, collect
-
-__all__ = [
-    "OP_SELECT_CHIP", "OP_POWER_OFF", "OP_POWER_ON", "OP_READ",
-    "ReadRequest", "ResponseFrame", "ProtocolError", "ReservedBitSet",
-    "SelectOutOfRange", "WidthTooLarge",
-    "encode_request", "decode_request", "encode_response", "decode_response",
-    "DumpHeader", "DumpFormatError", "dump_filename", "format_dump", "parse_dump",
-    "ChipServer", "serve", "collect", "ConnectionLost",
-]

@@ -17,7 +17,7 @@ import numpy as np
 from ..floorplan import DEFAULT_DESIGNS, format_config
 from ..simchip import DesignEntry, ProcessParams
 from . import protocol as wire
-from .dumpfile import DumpHeader, dump_filename, format_dump
+from .dumpfile import DumpHeader, bits_to_words, dump_filename, format_dump
 
 READ_WINDOW = 512  # commands in flight per burst
 MANIFEST_NAME = "manifest.txt"
@@ -101,28 +101,7 @@ class HarnessClient:
             raw = _recv_exact(self.sock, wire.FRAME_LEN * len(window))
             rows.append(np.frombuffer(raw, dtype=np.uint8).reshape(-1, wire.FRAME_LEN))
         frames = np.concatenate(rows, axis=0)
-        return self._words_from_frames(frames, width)
-
-    @staticmethod
-    def _words_from_frames(frames: np.ndarray, width: int) -> np.ndarray:
-        bits = np.unpackbits(frames, axis=1)  # (n, 72)
-        good = (bits[:, 0] == 1) & (bits[:, 1] == 0) & (bits[:, 2] == 1)
-        if not good.all():
-            bad = int(np.flatnonzero(~good)[0])
-            frame = wire.decode_response(frames[bad].tobytes())
-            if frame.is_error:
-                name = wire.ERROR_NAMES.get(frame.data, f"code {frame.data}")
-                raise wire.ProtocolError(f"read {bad} failed: {name}")
-            raise wire.ProtocolError(f"read {bad}: malformed frame")
-        stops_ok = (
-            (bits[:, 67] == 0) & (bits[:, 68] == 1) & (bits[:, 69] == 0)
-            & (bits[:, 70] == 0) & (bits[:, 71] == 0)
-        )
-        if not stops_ok.all():
-            raise wire.ProtocolError("malformed stop bits in a data frame")
-        word_bits = bits[:, 3 : 3 + width][:, ::-1].astype(np.uint64)
-        weights = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
-        return (word_bits * weights).sum(axis=1, dtype=np.uint64)
+        return bits_to_words(wire.decode_data_frames(frames, width))
 
 
 def collect(

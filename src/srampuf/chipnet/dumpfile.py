@@ -115,3 +115,10 @@ def words_to_bits(words, w: int) -> np.ndarray:
     arr = np.asarray(words, dtype=np.uint64)
     shifts = np.arange(w, dtype=np.uint64)
     return ((arr[:, np.newaxis] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+def bits_to_words(bits) -> np.ndarray:
+    """Word values of a (depth, w) bit matrix; inverse of words_to_bits."""
+    mat = np.asarray(bits).astype(np.uint64)
+    weights = np.left_shift(np.uint64(1), np.arange(mat.shape[1], dtype=np.uint64))
+    return (mat * weights).sum(axis=1, dtype=np.uint64)

@@ -82,6 +82,20 @@ class ReadRequest:
             )
 
 
+def check_design(select: int, design) -> None:
+    """Reject a design that read requests cannot address or frames cannot carry."""
+    g = design.geometry
+    if select > MAX_SELECT:
+        raise SelectOutOfRange(f"design {design.name!r}: a read request selects "
+                               f"at most {MAX_SELECT + 1} designs")
+    if g.width > 64:
+        raise WidthTooLarge(
+            f"design {design.name!r}: width {g.width} exceeds the 64-bit data field")
+    if g.depth > MAX_ADDRESS + 1:
+        raise AddressOutOfRange(f"design {design.name!r}: depth {g.depth} exceeds "
+                                f"the {MAX_ADDRESS + 1} addresses of a read request")
+
+
 def encode_request(r: ReadRequest) -> bytes:
     return ((r.puf_select << 11) | r.address).to_bytes(2, "big")
 
@@ -99,35 +113,14 @@ def decode_request(b: bytes) -> ReadRequest:
 class ResponseFrame:
     start: int
     data: int  # 64-bit field
-    stop: int
 
     @property
     def is_error(self) -> bool:
         return self.start == START_ERROR
 
-    def word_bits(self, w: int) -> np.ndarray:
-        """The word carried in a data frame, as bits indexed 0..w-1."""
-        if not 0 < w <= 64:
-            raise WidthTooLarge(f"width {w} outside [1, 64]")
-        value = self.data >> (64 - w)
-        return np.array([(value >> b) & 1 for b in range(w)], dtype=np.uint8)
-
 
 def _assemble(start: int, data: int) -> bytes:
     return ((start << 69) | (data << 5) | (STOP_BITS << 2)).to_bytes(FRAME_LEN, "big")
-
-
-def encode_response(word, w: int) -> bytes:
-    """Frame one word read from a width-w design (high-aligned data)."""
-    if w > 64:
-        raise WidthTooLarge(f"width {w} exceeds the 64-bit data field")
-    bits = np.asarray(word).reshape(-1)
-    if bits.size != w:
-        raise ProtocolError(f"word has {bits.size} bits, width says {w}")
-    value = 0
-    for b in range(w):
-        value |= int(bits[b]) << b
-    return _assemble(START_DATA, value << (64 - w))
 
 
 def encode_control(payload: int) -> bytes:
@@ -155,14 +148,14 @@ def decode_response(b: bytes) -> ResponseFrame:
         raise ProtocolError(f"bad stop bits {stop:03b}")
     if start not in (START_DATA, START_ERROR):
         raise ProtocolError(f"bad start bits {start:03b}")
-    return ResponseFrame(start=start, data=(value >> 5) & ((1 << 64) - 1), stop=stop)
+    return ResponseFrame(start=start, data=(value >> 5) & ((1 << 64) - 1))
 
 
 def frames_for_bits(bits: np.ndarray) -> np.ndarray:
     """Data frames for a whole (depth, w) bit matrix, one 9-byte row each.
 
-    Vector equivalent of calling encode_response per address; the server
-    precomputes this table at power-on so reads are array lookups.
+    The only data-frame encoder: the server precomputes this table at
+    power-on so reads are array lookups.
     """
     depth, w = bits.shape
     if w > 64:
@@ -173,3 +166,26 @@ def frames_for_bits(bits: np.ndarray) -> np.ndarray:
     stream[:, 3 : 3 + w] = bits[:, ::-1]  # word bit w-1 first on the wire
     stream[:, 68] = 1  # stop 010, then 2 pad zeros
     return np.packbits(stream, axis=1)
+
+
+def decode_data_frames(frames: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) bit matrix of n data frames (an (n, 9) uint8 array).
+
+    Inverse of frames_for_bits; a non-data frame is reported by its index.
+    """
+    if not 0 < width <= 64:
+        raise WidthTooLarge(f"width {width} outside [1, 64]")
+    bits = np.unpackbits(frames, axis=1)  # (n, 72)
+    good = (bits[:, 0] == 1) & (bits[:, 1] == 0) & (bits[:, 2] == 1)
+    if not good.all():
+        bad = int(np.flatnonzero(~good)[0])
+        frame = decode_response(frames[bad].tobytes())  # raises unless an error frame
+        name = ERROR_NAMES.get(frame.data, f"code {frame.data}")
+        raise ProtocolError(f"read {bad} failed: {name}")
+    stops_ok = (
+        (bits[:, 67] == 0) & (bits[:, 68] == 1) & (bits[:, 69] == 0)
+        & (bits[:, 70] == 0) & (bits[:, 71] == 0)
+    )
+    if not stops_ok.all():
+        raise ProtocolError("malformed stop bits in a data frame")
+    return bits[:, 3 : 3 + width][:, ::-1]

@@ -135,8 +135,10 @@ class ChipServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        self.bank = ChipBank(designs if designs is not None else DEFAULT_DESIGNS,
-                             params, seed)
+        designs = designs if designs is not None else DEFAULT_DESIGNS
+        for select, entry in enumerate(designs):
+            wire.check_design(select, entry)
+        self.bank = ChipBank(designs, params, seed)
         self._host = host
         self._port = port
         self._lock = threading.Lock()

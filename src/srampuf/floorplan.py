@@ -21,6 +21,7 @@ ignored, indentation is free-form:
 
 from __future__ import annotations
 
+from .chipnet import protocol as wire
 from .layout import Geometry, LayoutError, Orientation, PlacedMacro
 from .patterns import ParseError, parse_run_length
 from .simchip import DesignEntry, ProcessParams
@@ -71,10 +72,6 @@ DEFAULT_DESIGNS: tuple[DesignEntry, ...] = (
 _PARAM_KEYS = ("sigma_mismatch", "sigma_noise", "beta", "gradient")
 _DESIGN_KEYS = ("depth", "width", "mux", "class", "orient", "origin", "pattern")
 _REQUIRED_DESIGN_KEYS = ("depth", "width", "mux", "orient", "pattern")
-
-
-def default_params() -> ProcessParams:
-    return ProcessParams()
 
 
 def _split_stanzas(text: str):
@@ -204,11 +201,14 @@ def parse_config(text: str) -> tuple[ProcessParams, tuple[DesignEntry, ...]]:
             except ParseError as e:
                 raise ConfigError(lineno, str(e))
             try:
-                designs.append(
-                    _entry(name, depth, width, mux, speed, orient, origin, rest[0])
-                )
+                entry = _entry(name, depth, width, mux, speed, orient, origin, rest[0])
             except LayoutError as e:
                 raise ConfigError(header_line, f"design {name!r}: {e}")
+            try:
+                wire.check_design(len(designs), entry)
+            except ValueError as e:
+                raise ConfigError(header_line, str(e))
+            designs.append(entry)
     if not designs:
         designs = list(DEFAULT_DESIGNS)
     return params, tuple(designs)

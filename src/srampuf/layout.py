@@ -1,12 +1,11 @@
-"""Logical-to-physical geometry of SRAM macros.
+"""Shape and placement orientation of SRAM macros.
 
-A macro of depth ``d`` and word width ``w`` stores its bitcells in a matrix
-that is folded by the column mux ratio ``m``: every data bit owns ``m``
-adjacent physical columns, and the low address bits select which of those
-columns is active.  The word is split around a central control strip, with
-bits ``0 .. w/2-1`` in the left half and the upper bits in the right half.
-Macro-local coordinates put ``(col, row) = (0, 0)`` at the lower-left cell
-of the left half; placement orientations map local coordinates onto the die.
+A macro stores ``depth`` words of ``width`` bits and is read out
+address-major.  Its column mux ratio ``mux`` is validated and carried in
+the dump header, but the cell-level mux fold is not modelled: the only
+placement property the simulator uses is the orientation, whose operator
+maps the macro's local column axis onto the die (see
+``simchip.orientation_sign``).
 """
 
 from __future__ import annotations
@@ -20,14 +19,6 @@ class LayoutError(ValueError):
 
 
 class AddressOutOfRange(LayoutError):
-    pass
-
-
-class BitOutOfRange(LayoutError):
-    pass
-
-
-class CellOutOfMacro(LayoutError):
     pass
 
 
@@ -85,87 +76,20 @@ class Geometry:
             raise LayoutError(f"unknown speed class {self.speed_class!r}")
 
     @property
-    def rows(self) -> int:
-        return self.depth // self.mux
-
-    @property
-    def cols_per_half(self) -> int:
-        return (self.width // 2) * self.mux
-
-    @property
-    def phys_cols(self) -> int:
-        """Total physical columns across both halves (control strip is 0-wide)."""
-        return self.width * self.mux
-
-    @property
     def cells(self) -> int:
         return self.depth * self.width
 
 
 @dataclass(frozen=True)
 class PlacedMacro:
+    """``origin`` is kept in the floorplan file but affects no bit."""
+
     geometry: Geometry
     orientation: Orientation
     origin: tuple[int, int] = (0, 0)
-
-
-def decompose_address(g: Geometry, addr: int) -> tuple[int, int]:
-    """Split a word address into (row, column group).
-
-    The low ``log2(mux)`` address bits walk the muxed columns, the rest
-    select the physical row.
-    """
-    if not 0 <= addr < g.depth:
-        raise AddressOutOfRange(f"address {addr} outside [0, {g.depth})")
-    return addr // g.mux, addr % g.mux
-
-
-def logical_to_physical(g: Geometry, addr: int, bit: int) -> tuple[int, int, str]:
-    """Map (address, bit) to (row, column-within-half, half)."""
-    if not 0 <= bit < g.width:
-        raise BitOutOfRange(f"bit {bit} outside [0, {g.width})")
-    row, colgroup = decompose_address(g, addr)
-    half_w = g.width // 2
-    half = "left" if bit < half_w else "right"
-    col = (bit % half_w) * g.mux + colgroup
-    return row, col, half
-
-
-def readout_index(g: Geometry, addr: int, bit: int) -> int:
-    """Position of a cell in the serial readout order (address-major)."""
-    if not 0 <= addr < g.depth:
-        raise AddressOutOfRange(f"address {addr} outside [0, {g.depth})")
-    if not 0 <= bit < g.width:
-        raise BitOutOfRange(f"bit {bit} outside [0, {g.width})")
-    return addr * g.width + bit
-
-
-def cell_site(g: Geometry, addr: int, bit: int) -> tuple[int, int]:
-    """Macro-local (col, row) of a cell, with the right half offset past the left."""
-    row, col, half = logical_to_physical(g, addr, bit)
-    if half == "right":
-        col += g.cols_per_half
-    return col, row
-
-
-def orientation_matrix(o: Orientation) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The 2x2 integer operator of an orientation, in row-major order."""
-    return _MATRICES[o]
 
 
 def apply_orientation(o: Orientation, xy: tuple[int, int]) -> tuple[int, int]:
     (a, b), (c, d) = _MATRICES[o]
     x, y = xy
     return a * x + b * y, c * x + d * y
-
-
-def macro_to_die(p: PlacedMacro, local: tuple[int, int]) -> tuple[int, int]:
-    """Die coordinates of a macro-local (col, row) cell site."""
-    col, row = local
-    g = p.geometry
-    if not (0 <= col < g.phys_cols and 0 <= row < g.rows):
-        raise CellOutOfMacro(
-            f"local {local} outside {g.phys_cols}x{g.rows} macro extent"
-        )
-    dx, dy = apply_orientation(p.orientation, (col, row))
-    return p.origin[0] + dx, p.origin[1] + dy

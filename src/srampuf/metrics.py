@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .simchip import DesignEntry, ProcessParams, derive_seed, power_up, sample_device
+from .simchip import ChipBank, DesignEntry, ProcessParams, derive_seed
 
 
 class EmptyInput(ValueError):
@@ -103,6 +103,19 @@ def min_entropy_by_one_probability(p: float) -> float:
     return -math.log2(max(p, 1.0 - p))
 
 
+def mean_reconstruction_wchd(design: DesignEntry, params: ProcessParams, seed: int,
+                             chips: int, cycles: int = 10) -> float:
+    """Mean WCHD against cycle 0 over ``ChipBank((design,), params, seed)``."""
+    bank = ChipBank((design,), params, seed)
+    total, count = 0.0, 0
+    for chip in range(chips):
+        base = bank.snapshots(chip, 0)[design.name].readout()
+        for cycle in range(1, cycles):
+            total += wchd(base, bank.snapshots(chip, cycle)[design.name].readout())
+            count += 1
+    return total / count
+
+
 def calibrate_noise(
     target_wchd: float,
     params: ProcessParams,
@@ -129,16 +142,7 @@ def calibrate_noise(
 
     def mean_wchd(sigma_noise: float) -> float:
         probe = replace(params, sigma_noise=sigma_noise)
-        total, count = 0.0, 0
-        for chip in range(chips):
-            dev = sample_device(probe_design, probe, derive_seed(probe_seed, "chip", chip))
-            base = power_up(dev, probe, derive_seed(probe_seed, "cycle", chip, 0))
-            for cycle in range(1, cycles):
-                cycle_seed = derive_seed(probe_seed, "cycle", chip, cycle)
-                snap = power_up(dev, probe, cycle_seed)
-                total += wchd(base.readout(), snap.readout())
-                count += 1
-        return total / count
+        return mean_reconstruction_wchd(probe_design, probe, probe_seed, chips, cycles)
 
     lo, hi = 0.0, params.sigma_mismatch
     f_hi = mean_wchd(hi)

@@ -60,10 +60,6 @@ class RunLengthPattern:
         """First ``n`` pattern values as floats: '1' phase -> +1, '0' -> -1."""
         return 2.0 * self.bits(n) - 1.0
 
-    def full_cycle(self) -> np.ndarray:
-        """Offset run plus one whole block, as emitted from position zero."""
-        return self.bits(self.offset_length + self.period)
-
     def anchored_cycle(self) -> np.ndarray:
         """One period of the emitted sequence, observed from position zero.
 
@@ -71,10 +67,6 @@ class RunLengthPattern:
         wraps around in the phase the sequence actually starts in.
         """
         return self.bits(self.period)
-
-    def notation(self) -> str:
-        runs = ([self.offset_run] if self.offset_run else []) + list(self.block)
-        return "".join(f"{bit}({length})" for bit, length in runs)
 
 
 def parse_run_length(text: str) -> RunLengthPattern:
@@ -107,14 +99,6 @@ def bit_runs(bits: np.ndarray) -> list[tuple[int, int]]:
     starts = np.concatenate([[0], edges])
     ends = np.concatenate([edges, [arr.size]])
     return [(int(arr[s]), int(e - s)) for s, e in zip(starts, ends)]
-
-
-def format_run_length(template) -> str:
-    """Plain run encoding of a bit vector: runs emitted as ``b(n)`` in order."""
-    runs = bit_runs(np.asarray(template))
-    if not runs:
-        raise ParseError("empty template")
-    return "".join(f"{bit}({length})" for bit, length in runs)
 
 
 def cyclic_notation(cycle) -> str:

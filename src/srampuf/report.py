@@ -67,7 +67,9 @@ def _row_cells(row: dict) -> tuple[str, ...]:
     )
 
 
-def _render_cells(rows: list[tuple[str, ...]]) -> str:
+def render_table(report: dict) -> str:
+    """Fixed-width results table, one row per design."""
+    rows = [_row_cells(row) for row in report["rows"]]
     widths = [
         max(len(COLUMNS[i]), *(len(r[i]) for r in rows)) if rows else len(COLUMNS[i])
         for i in range(len(COLUMNS))
@@ -78,32 +80,3 @@ def _render_cells(rows: list[tuple[str, ...]]) -> str:
     for r in rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def render_table(report: dict) -> str:
-    """Fixed-width results table, one row per design."""
-    return _render_cells([_row_cells(row) for row in report["rows"]])
-
-
-def parse_rendered_table(text: str) -> list[dict[str, str]]:
-    """Cells of a rendered table, keyed by column name."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ReportParseError("table too short")
-    headers = tuple(h.strip() for h in lines[0].split(" | "))
-    if headers != COLUMNS:
-        raise ReportParseError(f"unexpected columns {headers}")
-    if set(lines[1]) - set("-+"):
-        raise ReportParseError("missing header rule")
-    rows = []
-    for ln in lines[2:]:
-        cells = [c.strip() for c in ln.split(" | ")]
-        if len(cells) != len(COLUMNS):
-            raise ReportParseError(f"row has {len(cells)} cells: {ln!r}")
-        rows.append(dict(zip(COLUMNS, cells)))
-    return rows
-
-
-def rerender_table(cells: list[dict[str, str]]) -> str:
-    """Render parsed cells back to text (identical for untouched cells)."""
-    return _render_cells([tuple(row[c] for c in COLUMNS) for row in cells])

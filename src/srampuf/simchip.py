@@ -4,7 +4,7 @@ A bitcell powers up to 1 when its static threshold mismatch, plus a small
 layout-correlated imprint shift, plus fresh per-cycle noise lands above
 zero:
 
-    bit(addr, b) = [ mismatch[addr, b] + imprint[readout_index(addr, b)] + n > 0 ]
+    bit(addr, b) = [ mismatch[addr, b] + imprint[addr * width + b] + n > 0 ]
 
 ``mismatch`` is frozen per chip at fabrication; ``imprint`` follows the
 design's run-length pattern along the serial readout order, scaled by beta
@@ -19,17 +19,17 @@ seeds give bit-identical devices and snapshots in any evaluation order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .layout import AddressOutOfRange, Geometry, Orientation, PlacedMacro, apply_orientation
+from .layout import Geometry, Orientation, PlacedMacro, apply_orientation
 from .patterns import RunLengthPattern, parse_run_length
 
 DEFAULT_SIGMA_MISMATCH = 1.0
 DEFAULT_BETA = 0.06
-# calibrate_noise(0.065, default_params(), <P2_a>, budget=90): reconstruction
+# calibrate_noise(0.065, ProcessParams(), <P2_a>, budget=90): reconstruction
 # flips land at ~6.3% of bits per cycle, inside the calibration tolerance.
 DEFAULT_SIGMA_NOISE = 0.140625
 DEFAULT_GRADIENT = (1.0, 1.0)
@@ -114,12 +114,6 @@ class Snapshot:
         """Bits concatenated in serial readout order (addr-major)."""
         return self.bits.reshape(-1)
 
-    def words(self) -> np.ndarray:
-        """Word values per address (bit b of the word = bit b of the row)."""
-        mat = self.bits.astype(np.uint64)
-        weights = np.left_shift(np.uint64(1), np.arange(mat.shape[1], dtype=np.uint64))
-        return (mat * weights).sum(axis=1, dtype=np.uint64)
-
 
 def sample_device(entry: DesignEntry, params: ProcessParams, chip_seed: int) -> DeviceArray:
     """Fabricate one chip's instance of a design from a keyed random stream."""
@@ -150,13 +144,6 @@ def power_up(
     return Snapshot(bits=bits, chip_id=chip_id, cycle=cycle)
 
 
-def read_word(s: Snapshot, addr: int) -> np.ndarray:
-    """Row ``addr`` of the bit matrix: the word's bits, index 0..w-1."""
-    if not 0 <= addr < s.bits.shape[0]:
-        raise AddressOutOfRange(f"address {addr} outside [0, {s.bits.shape[0]})")
-    return s.bits[addr].copy()
-
-
 class ChipBank:
     """Lazy bank of chips sharing one floorplan, keyed off a master seed.
 
@@ -178,12 +165,6 @@ class ChipBank:
         self.params = params if params is not None else ProcessParams()
         self.seed = seed
         self._devices: dict[int, dict[str, DeviceArray]] = {}
-
-    def design(self, name: str) -> DesignEntry:
-        for entry in self.designs:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
 
     def devices(self, chip: int) -> dict[str, DeviceArray]:
         cached = self._devices.get(chip)

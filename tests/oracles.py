@@ -105,3 +105,16 @@ def pattern_bit(text, k):
     while len(expanded) <= k:
         expanded += cycle
     return expanded[k]
+
+
+def parse_rendered_table(text):
+    """Cells of a rendered results table as dicts keyed by column header."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    headers = [h.strip() for h in lines[0].split(" | ")]
+    assert not set(lines[1]) - set("-+"), "missing header rule"
+    rows = []
+    for ln in lines[2:]:
+        cells = [c.strip() for c in ln.split(" | ")]
+        assert len(cells) == len(headers), ln
+        rows.append(dict(zip(headers, cells)))
+    return rows

@@ -11,7 +11,7 @@ from math import erf, sqrt
 import numpy as np
 import pytest
 
-from oracles import brute_force_period
+from oracles import assemble_frame, brute_force_period
 from srampuf.analyze import scan_dump_dir
 from srampuf.biasdetect import autocorrelation, dominant_period
 from srampuf.chipnet import protocol as wire
@@ -202,11 +202,12 @@ def test_criterion_6_protocol_bit_exactness():
     for width in (1, 7, 16, 32, 64):
         for _ in range(40):
             word = rng.integers(0, 2, size=width, dtype=np.uint8)
-            frame = wire.encode_response(word, width)
+            table = wire.frames_for_bits(word[np.newaxis, :])
+            frame = table[0].tobytes()
             assert len(frame) == wire.FRAME_LEN == 9
+            assert frame == assemble_frame(list(word[::-1]) + [0] * (64 - width))
             assert frame[0] >> 5 == 0b101
-            decoded = wire.decode_response(frame)
-            assert list(decoded.word_bits(width)) == list(word)
+            assert list(wire.decode_data_frames(table, width)[0]) == list(word)
 
     commands = _scripted_commands(1000)
     transcripts = []

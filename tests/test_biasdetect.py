@@ -12,14 +12,12 @@ from srampuf.biasdetect import (
     NoPeriodicity,
     autocorrelation,
     bias_direction,
-    concat_readout,
     dominant_period,
     extract_template,
     smooth_template,
     strongest_vector,
 )
 from srampuf.patterns import parse_run_length
-from srampuf.simchip import Snapshot
 
 # planted period -> generating pattern, exercised at flip noise up to 20%
 PLANTED_CYCLES = {
@@ -44,13 +42,6 @@ def noisy_tiling(planted, n, seed, flip_p):
     base = np.tile(cyc, -(-n // planted))[:n]
     base = np.roll(base, int(rng.integers(0, planted)))
     return base ^ (rng.random(n) < flip_p).astype(np.uint8)
-
-
-def test_concat_readout_is_address_major():
-    snap = Snapshot(bits=np.array([[0, 1], [1, 0]], dtype=np.uint8), chip_id=0, cycle=0)
-    assert np.array_equal(concat_readout(snap), [0, 1, 1, 0])
-    ones = Snapshot(bits=np.ones((3, 4), dtype=np.uint8), chip_id=0, cycle=0)
-    assert concat_readout(ones).all() and concat_readout(ones).size == 12
 
 
 def test_autocorrelation_normalizes_lag_zero():

@@ -7,12 +7,14 @@ import time
 
 import pytest
 
+from oracles import parse_rendered_table
 from srampuf.chipnet.collector import HarnessClient
+from srampuf.chipnet.dumpfile import bits_to_words
 from srampuf.chipnet.server import ChipServer
 from srampuf.cli import main
 from srampuf.floorplan import DEFAULT_DESIGNS, format_config, load_config
 from srampuf.layout import Geometry, Orientation, PlacedMacro
-from srampuf.report import load_report, parse_rendered_table
+from srampuf.report import load_report
 from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
 
 # beta is cranked up so a 2-chip, 2-cycle run already resolves both
@@ -49,11 +51,22 @@ def test_gen_is_idempotent(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
-def test_gen_rejects_a_broken_config(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("macro lopsided\n", "error: line 1: "),
+        # a width the 64-bit data field cannot carry
+        ("design W\n depth 64\n width 128\n mux 4\n orient R0\n pattern 0(8)1(8)\n",
+         "error: line 1: design 'W': width 128 "),
+    ],
+)
+def test_gen_rejects_a_broken_config(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("macro lopsided\n", encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
     assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
 
 
 def test_collect_analyze_report_pipeline(tmp_path, small_cfg, capsys):
@@ -153,7 +166,7 @@ def test_serve_runs_as_a_subprocess(tmp_path, small_cfg):
         finally:
             client.close()
         bank = ChipBank(SMALL, PARAMS, 5)
-        assert list(words) == list(bank.snapshots(0, 0)["A"].words())
+        assert list(words) == list(bits_to_words(bank.snapshots(0, 0)["A"].bits))
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=10) in (0, 130)
     finally:

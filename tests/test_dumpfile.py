@@ -6,6 +6,7 @@ import pytest
 from srampuf.chipnet.dumpfile import (
     DumpFormatError,
     DumpHeader,
+    bits_to_words,
     dump_filename,
     format_dump,
     parse_dump,
@@ -65,9 +66,9 @@ def test_round_trip_through_a_real_snapshot():
     params = ProcessParams()
     snap = power_up(sample_device(entry, params, 5), params, 6, chip_id=1, cycle=2)
     header = DumpHeader("D", g.depth, g.width, g.mux, "R90", "slow", 1, 2)
-    parsed_header, words = parse_dump(format_dump(header, snap.words()))
+    parsed_header, words = parse_dump(format_dump(header, bits_to_words(snap.bits)))
     assert parsed_header == header
-    assert np.array_equal(words, snap.words())
+    assert np.array_equal(words, bits_to_words(snap.bits))
     assert np.array_equal(words_to_bits(words, g.width), snap.bits)
 
 
@@ -110,3 +111,10 @@ def test_words_to_bits_column_semantics():
     assert np.array_equal(bits, [[1, 1, 0, 1]])  # column b holds word bit b
     full = words_to_bits([1 << 63], 64)
     assert full[0, 63] == 1 and full[0, :63].sum() == 0
+
+
+def test_bits_to_words_inverts_words_to_bits():
+    bits = np.array([[1, 0, 1, 0], [0, 1, 1, 1]], dtype=np.uint8)
+    assert np.array_equal(bits_to_words(bits), [5, 14])
+    words = np.random.default_rng(3).integers(0, 1 << 63, size=32, dtype=np.uint64) << 1
+    assert np.array_equal(bits_to_words(words_to_bits(words, 64)), words)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from srampuf.floorplan import (
     DEFAULT_DESIGNS,
     ConfigError,
-    default_params,
     format_config,
     load_config,
     parse_config,
@@ -59,14 +58,14 @@ def test_format_parse_round_trip():
 
 def test_empty_config_falls_back_to_defaults():
     params, designs = parse_config("")
-    assert params == default_params()
+    assert params == ProcessParams()
     assert designs == DEFAULT_DESIGNS
 
 
 def test_params_only_config_keeps_default_designs():
     params, designs = parse_config("params\n  beta 0.1\n")
     assert params.beta == 0.1
-    assert params.sigma_mismatch == default_params().sigma_mismatch
+    assert params.sigma_mismatch == ProcessParams().sigma_mismatch
     assert designs == DEFAULT_DESIGNS
 
 
@@ -92,6 +91,7 @@ def test_comments_blanks_and_indentation_are_free_form():
 
 
 MINIMAL = "design D\n depth 64\n width 8\n mux 4\n orient R0\n pattern 0(2)1(2)\n"
+TWELVE = "".join(MINIMAL.replace("design D", f"design D{i}") for i in range(12))
 
 
 @pytest.mark.parametrize(
@@ -115,6 +115,10 @@ MINIMAL = "design D\n depth 64\n width 8\n mux 4\n orient R0\n pattern 0(2)1(2)\
         ("design D\n depth 64\n width 8\n mux 4\n class medium\n orient R0\n pattern 0(2)1(2)\n", 5),
         ("design D\n depth 65\n width 8\n mux 4\n orient R0\n pattern 0(2)1(2)\n", 1),
         ("design D\n depth x\n width 8\n mux 4\n orient R0\n pattern 0(2)1(2)\n", 2),
+        # floorplans the wire protocol cannot carry
+        ("design D\n depth 64\n width 128\n mux 4\n orient R0\n pattern 0(2)1(2)\n", 1),
+        (MINIMAL + "design E\n depth 2049\n width 8\n mux 1\n orient R0\n pattern 0(2)1(2)\n", 7),
+        (TWELVE, 67),  # a twelfth design has no select index
     ],
 )
 def test_config_errors_carry_line_numbers(text, line):

@@ -14,6 +14,7 @@ from srampuf.metrics import (
     OutOfRange,
     calibrate_noise,
     fhw,
+    mean_reconstruction_wchd,
     mhw,
     min_entropy_by_one_probability,
     wchd,
@@ -152,6 +153,17 @@ def test_calibrate_noise_validates_inputs():
         calibrate_noise(-0.1, ProcessParams(), probe_entry())
     with pytest.raises(OutOfRange):
         calibrate_noise(0.065, ProcessParams(), probe_entry(), budget=0)
+
+
+def test_mean_reconstruction_wchd_compares_every_cycle_with_cycle_0():
+    probe = probe_entry(depth=64, width=16, mux=8, name="tiny")
+    bank = ChipBank([probe], ProcessParams(), seed=11)
+    expect = [
+        np.mean(bank.snapshots(chip, 0)["tiny"].bits != bank.snapshots(chip, k)["tiny"].bits)
+        for chip in range(3) for k in range(1, 4)
+    ]
+    got = mean_reconstruction_wchd(probe, ProcessParams(), 11, chips=3, cycles=4)
+    assert got == pytest.approx(np.mean(expect))
 
 
 def test_calibrated_sigma_hits_the_target_band():

@@ -13,7 +13,6 @@ from srampuf.patterns import (
     bit_runs,
     canonical_cycle,
     cyclic_notation,
-    format_run_length,
     parse_run_length,
 )
 
@@ -24,6 +23,11 @@ TABLE_PATTERNS = [
     "0(16)1(16)",
     "0(16)1(32)0(32)",
 ]
+
+
+def notation(runs):
+    """Plain run-length text of (bit, length) runs, in order."""
+    return "".join(f"{bit}({length})" for bit, length in runs)
 
 
 def test_parse_even_run_count_has_no_offset():
@@ -87,10 +91,8 @@ def test_signs_are_plus_minus_one():
     assert np.array_equal(p.signs(6), [-1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
 
 
-def test_full_cycle_and_anchored_cycle():
+def test_anchored_cycle_wraps_in_the_starting_phase():
     p = parse_run_length("0(32)1(64)0(64)")
-    full = p.full_cycle()
-    assert full.size == 32 + 128
     anchored = p.anchored_cycle()
     assert anchored.size == 128
     # the anchored cycle wraps in the starting phase: 0^32 1^64 0^32
@@ -101,14 +103,6 @@ def test_full_cycle_and_anchored_cycle():
 def test_bits_agree_with_literal_run_walk(text, k):
     p = parse_run_length(text)
     assert int(p.bits(k + 1)[k]) == pattern_bit(text, k)
-
-
-def test_format_run_length_examples():
-    assert format_run_length([0] * 16 + [1] * 16) == "0(16)1(16)"
-    assert format_run_length(np.zeros(8, dtype=np.uint8)) == "0(8)"
-    assert format_run_length([0] * 32 + [1] * 64 + [0] * 32) == "0(32)1(64)0(32)"
-    with pytest.raises(ParseError):
-        format_run_length([])
 
 
 def test_cyclic_notation_merges_wrap_around_run():
@@ -142,7 +136,7 @@ def test_bit_runs():
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=200))
 def test_parse_of_plain_encoding_reproduces_vector(bits):
     t = np.asarray(bits, dtype=np.uint8)
-    p = parse_run_length(format_run_length(t))
+    p = parse_run_length(notation(bit_runs(t)))
     assert np.array_equal(p.bits(t.size), t)
 
 
@@ -166,4 +160,5 @@ def patterns(draw):
 
 @given(patterns())
 def test_notation_round_trips_through_parser(p):
-    assert parse_run_length(p.notation()) == p
+    runs = ([p.offset_run] if p.offset_run else []) + list(p.block)
+    assert parse_run_length(notation(runs)) == p

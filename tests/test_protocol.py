@@ -16,12 +16,12 @@ from srampuf.chipnet.protocol import (
     ReservedBitSet,
     SelectOutOfRange,
     WidthTooLarge,
+    decode_data_frames,
     decode_request,
     decode_response,
     encode_control,
     encode_error,
     encode_request,
-    encode_response,
     frames_for_bits,
 )
 from srampuf.layout import AddressOutOfRange
@@ -55,33 +55,41 @@ def test_request_round_trip(select, address):
     assert decode_request(encode_request(r)) == r
 
 
+def data_frame(word):
+    """The frame frames_for_bits gives for one word (bits indexed 0..w-1)."""
+    return frames_for_bits(np.asarray([word], dtype=np.uint8))[0].tobytes()
+
+
+def frame_table(*frames):
+    """Frames as the (n, 9) uint8 array a client reads off the wire."""
+    return np.frombuffer(b"".join(frames), dtype=np.uint8).reshape(-1, FRAME_LEN)
+
+
+def wire_data_bits(word):
+    """The 64 data-field bits of a word as the oracle writes them: MSB first."""
+    return [int(b) for b in word][::-1] + [0] * (64 - len(word))
+
+
 def test_all_zero_data_frame_bytes():
-    frame = encode_response(np.zeros(64, dtype=np.uint8), 64)
+    frame = data_frame(np.zeros(64))
     assert frame == bytes.fromhex("a0" + "00" * 7 + "08")
     assert frame == assemble_frame("0" * 64)
 
 
 def test_all_ones_data_frame_bytes():
-    frame = encode_response(np.ones(64, dtype=np.uint8), 64)
+    frame = data_frame(np.ones(64))
     assert frame == bytes.fromhex("bf" + "ff" * 7 + "e8")
     assert frame == assemble_frame("1" * 64)
 
 
 def test_data_frame_is_high_aligned_msb_first():
     # word bits 0..3 = 1,0,1,1 -> wire order 1101, then 60 zeros
-    frame = encode_response([1, 0, 1, 1], 4)
+    frame = data_frame([1, 0, 1, 1])
     assert frame == assemble_frame("1101" + "0" * 60)
     decoded = decode_response(frame)
     assert decoded.start == START_DATA
     assert not decoded.is_error
-    assert np.array_equal(decoded.word_bits(4), [1, 0, 1, 1])
-
-
-def test_encode_response_validation():
-    with pytest.raises(WidthTooLarge):
-        encode_response(np.ones(65, dtype=np.uint8), 65)
-    with pytest.raises(ProtocolError):
-        encode_response([1, 0], 4)
+    assert np.array_equal(decode_data_frames(frame_table(frame), 4), [[1, 0, 1, 1]])
 
 
 def test_control_frame_carries_plain_integer():
@@ -122,12 +130,38 @@ def test_decode_response_rejects_malformed_frames():
         decode_response(bad_start)
 
 
-def test_word_bits_width_validation():
-    decoded = decode_response(encode_response(np.ones(8, dtype=np.uint8), 8))
+def test_decoder_width_validation():
+    table = frame_table(data_frame(np.ones(8)))
     with pytest.raises(WidthTooLarge):
-        decoded.word_bits(0)
+        decode_data_frames(table, 0)
     with pytest.raises(WidthTooLarge):
-        decoded.word_bits(65)
+        decode_data_frames(table, 65)
+
+
+def test_decoder_names_an_error_frame_mid_window():
+    good = data_frame([1, 0, 1, 1])
+    table = frame_table(good, good, encode_error(ERR_NO_CHIP), good)
+    with pytest.raises(ProtocolError, match=r"read 2 failed: no chip selected"):
+        decode_data_frames(table, 4)
+
+
+def test_decoder_rejects_bad_start_bits():
+    good = data_frame([1, 0, 1, 1])
+    bad_start = (0b111 << 69 | 0b010 << 2).to_bytes(FRAME_LEN, "big")
+    with pytest.raises(ProtocolError, match="bad start bits 111"):
+        decode_data_frames(frame_table(good, bad_start), 4)
+
+
+def test_decoder_rejects_bad_stop_bits():
+    good = data_frame([1, 0, 1, 1])
+    bad_stop = bytearray(good)
+    bad_stop[-1] = 0b00010000  # stop bits 100
+    with pytest.raises(ProtocolError, match="malformed stop bits"):
+        decode_data_frames(frame_table(good, bytes(bad_stop)), 4)
+    bad_pad = bytearray(good)
+    bad_pad[-1] |= 0b01
+    with pytest.raises(ProtocolError, match="malformed stop bits"):
+        decode_data_frames(frame_table(bytes(bad_pad), good), 4)
 
 
 @given(st.data())
@@ -137,8 +171,9 @@ def test_response_round_trip(data):
         data.draw(st.lists(st.integers(0, 1), min_size=w, max_size=w)),
         dtype=np.uint8,
     )
-    decoded = decode_response(encode_response(bits, w))
-    assert np.array_equal(decoded.word_bits(w), bits)
+    frame = data_frame(bits)
+    assert frame == assemble_frame(wire_data_bits(bits))
+    assert np.array_equal(decode_data_frames(frame_table(frame), w), [bits])
 
 
 @pytest.mark.parametrize("depth,w", [(1, 1), (4, 8), (16, 32), (3, 64)])
@@ -148,7 +183,8 @@ def test_frames_for_bits_matches_per_word_encoding(depth, w):
     table = frames_for_bits(bits)
     assert table.shape == (depth, FRAME_LEN)
     for addr in range(depth):
-        assert table[addr].tobytes() == encode_response(bits[addr], w)
+        assert table[addr].tobytes() == assemble_frame(wire_data_bits(bits[addr]))
+    assert np.array_equal(decode_data_frames(table, w), bits)
 
 
 def test_frames_for_bits_width_validation():

@@ -15,7 +15,7 @@ from srampuf.chipnet.collector import (
     HarnessClient,
     collect,
 )
-from srampuf.chipnet.dumpfile import parse_dump, words_to_bits
+from srampuf.chipnet.dumpfile import bits_to_words, parse_dump, words_to_bits
 from srampuf.chipnet.server import ChipServer
 from srampuf.floorplan import load_config
 from srampuf.layout import Geometry, Orientation, PlacedMacro
@@ -170,8 +170,24 @@ def test_reads_match_the_chip_bank(server):
     assert np.array_equal(words_a, again)  # stable within one power cycle
     bank = ChipBank(SMALL_DESIGNS, ProcessParams(), seed=SEED)
     snaps = bank.snapshots(7, 0)
-    assert np.array_equal(words_a, snaps["A"].words())
-    assert np.array_equal(words_b, snaps["B"].words())
+    assert np.array_equal(words_a, bits_to_words(snaps["A"].bits))
+    assert np.array_equal(words_b, bits_to_words(snaps["B"].bits))
+
+
+@pytest.mark.parametrize(
+    "designs,message",
+    [
+        ((entry("W", 64, 128, 4, Orientation.R0, "0(8)1(8)"),), "width 128"),
+        ((entry("D", 2049, 8, 1, Orientation.R0, "0(8)1(8)"),), "depth 2049"),
+        (tuple(entry(f"D{i}", 64, 8, 4, Orientation.R0, "0(8)1(8)") for i in range(12)),
+         "at most 11 designs"),
+    ],
+)
+def test_server_rejects_a_floorplan_the_wire_cannot_carry(designs, message):
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=message):
+        ChipServer(designs, ProcessParams(), seed=0)
+    assert threading.active_count() == before
 
 
 def test_client_side_validation(server):
@@ -264,7 +280,7 @@ def test_collect_writes_dumps_manifest_and_floorplan(tmp_path):
     for path in files:
         header, words = parse_dump(path.read_text())
         snap = bank.snapshots(header.chip, header.cycle)[header.design]
-        assert np.array_equal(words, snap.words())
+        assert np.array_equal(words, bits_to_words(snap.bits))
         assert np.array_equal(words_to_bits(words, header.width), snap.bits)
 
 

@@ -8,12 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from oracles import pattern_bit
-from srampuf.layout import (
-    AddressOutOfRange,
-    Geometry,
-    Orientation,
-    PlacedMacro,
-)
+from srampuf.layout import Geometry, Orientation, PlacedMacro
 from srampuf.simchip import (
     ChipBank,
     DegenerateGradient,
@@ -23,7 +18,6 @@ from srampuf.simchip import (
     derive_seed,
     orientation_sign,
     power_up,
-    read_word,
     sample_device,
 )
 
@@ -176,22 +170,11 @@ def test_default_reconstruction_distance_band():
     assert 0.05 <= np.mean(dists) <= 0.091
 
 
-def test_read_word():
-    bits = np.array([[1, 0, 1, 0], [0, 1, 1, 1]], dtype=np.uint8)
-    snap = Snapshot(bits=bits, chip_id=0, cycle=0)
-    assert np.array_equal(read_word(snap, 0), [1, 0, 1, 0])
-    assert np.array_equal(read_word(snap, 1), [0, 1, 1, 1])
-    with pytest.raises(AddressOutOfRange):
-        read_word(snap, 2)
-    assert np.array_equal(snap.words(), [5, 14])
-
-
-def test_reading_all_addresses_reproduces_readout_order():
-    params = ProcessParams()
-    dev = sample_device(make_entry(depth=64, width=8, mux=4), params, chip_seed=1)
-    snap = power_up(dev, params, cycle_seed=1)
-    rows = np.concatenate([read_word(snap, a) for a in range(64)])
-    assert np.array_equal(rows, snap.readout())
+def test_readout_is_address_major():
+    snap = Snapshot(bits=np.array([[0, 1], [1, 0]], dtype=np.uint8), chip_id=0, cycle=0)
+    assert np.array_equal(snap.readout(), [0, 1, 1, 0])
+    ones = Snapshot(bits=np.ones((3, 4), dtype=np.uint8), chip_id=0, cycle=0)
+    assert ones.readout().all() and ones.readout().size == 12
 
 
 def test_bank_rejects_duplicate_names():
@@ -199,11 +182,8 @@ def test_bank_rejects_duplicate_names():
         ChipBank([make_entry("A"), make_entry("A")], ProcessParams(), seed=0)
 
 
-def test_bank_design_lookup():
+def test_bank_rejects_negative_chip_and_cycle():
     bank = ChipBank([make_entry("A"), make_entry("B")], ProcessParams(), seed=0)
-    assert bank.design("B").name == "B"
-    with pytest.raises(KeyError):
-        bank.design("missing")
     with pytest.raises(ValueError):
         bank.snapshots(-1, 0)
     with pytest.raises(ValueError):
