@@ -1,8 +1,8 @@
 """Collector client: power-cycles every chip and writes dump files.
 
-Reads are pipelined in windows of a few hundred commands — the server
-answers strictly in order, so responses can be consumed as one block per
-window.  A lost connection is retried per chip/cycle: the collector
+Each design is read with one write of all its read commands; the server
+answers strictly in order, so the frames are consumed as one block per
+design.  A lost connection is retried per chip/cycle: the collector
 reconnects, reselects the chip and redoes the power cycle, labelling the
 dump with whatever cycle index the server reports.
 """
@@ -19,7 +19,6 @@ from ..simchip import DesignEntry, ProcessParams
 from . import protocol as wire
 from .dumpfile import DumpHeader, bits_to_words, dump_filename, format_dump
 
-READ_WINDOW = 512  # commands in flight per burst
 MANIFEST_NAME = "manifest.txt"
 FLOORPLAN_NAME = "floorplan.cfg"
 
@@ -89,19 +88,12 @@ class HarnessClient:
         self._control(bytes([wire.OP_POWER_OFF]))
 
     def read_design(self, select: int, depth: int, width: int) -> np.ndarray:
-        """All words of one design as uint64, pipelined in windows."""
-        commands = [
-            bytes([wire.OP_READ]) + wire.encode_request(wire.ReadRequest(select, addr))
-            for addr in range(depth)
-        ]
-        rows = []
-        for lo in range(0, depth, READ_WINDOW):
-            window = commands[lo : lo + READ_WINDOW]
-            self._send(b"".join(window))
-            raw = _recv_exact(self.sock, wire.FRAME_LEN * len(window))
-            rows.append(np.frombuffer(raw, dtype=np.uint8).reshape(-1, wire.FRAME_LEN))
-        frames = np.concatenate(rows, axis=0)
-        return bits_to_words(wire.decode_data_frames(frames, width))
+        """All words of one design as uint64, from one write of all its reads.
+
+        At most 6 KB of commands: the write never waits on unread frames."""
+        self._send(wire.read_commands(select, depth))
+        frames = np.frombuffer(_recv_exact(self.sock, wire.FRAME_LEN * depth), np.uint8)
+        return bits_to_words(wire.decode_data_frames(frames.reshape(depth, -1), width))
 
 
 def collect(

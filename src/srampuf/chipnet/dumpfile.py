@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAGIC = "#PUFDUMP v1"
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 _DESIGN_RE = re.compile(
     r"#design (\S+) depth=(\d+) width=(\d+) mux=(\d+) orient=(\S+) class=(fast|slow)$"
@@ -56,15 +57,22 @@ def format_dump(header: DumpHeader, words) -> str:
     arr = np.asarray(words, dtype=np.uint64)
     if arr.size != header.depth:
         raise DumpFormatError(f"{arr.size} words for depth {header.depth}")
-    digits = word_hex_width(header.width)
+    if header.width < 64 and (arr >> np.uint64(header.width)).any():
+        raise DumpFormatError(f"a word is wider than {header.width} bits")
     lines = [
         MAGIC,
         f"#design {header.design} depth={header.depth} width={header.width} "
         f"mux={header.mux} orient={header.orient} class={header.speed_class}",
         f"#chip {header.chip} cycle {header.cycle}",
     ]
-    lines.extend(f"{addr:04x}: {int(word):0{digits}x}" for addr, word in enumerate(arr))
-    return "\n".join(lines) + "\n"
+    # Body lines are fixed width, "aaaa: hhhh\n", so the body is one byte array.
+    shifts = np.arange(4 * word_hex_width(header.width) - 4, -1, -4, dtype=np.uint64)
+    body = np.full((arr.size, shifts.size + 7), ord(" "), dtype=np.uint8)
+    body[:, :4] = _HEX[(np.arange(arr.size)[:, np.newaxis] >> [12, 8, 4, 0]) & 0xF]
+    body[:, 4] = ord(":")
+    body[:, 6:-1] = _HEX[(arr[:, np.newaxis] >> shifts) & np.uint64(0xF)]
+    body[:, -1] = ord("\n")
+    return "\n".join(lines) + "\n" + body.tobytes().decode("ascii")
 
 
 def parse_header(lines: list[str]) -> DumpHeader:

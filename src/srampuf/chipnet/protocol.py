@@ -100,6 +100,23 @@ def encode_request(r: ReadRequest) -> bytes:
     return ((r.puf_select << 11) | r.address).to_bytes(2, "big")
 
 
+READ_COMMAND = np.dtype([("op", "u1"), ("request", ">u2")])
+
+
+def read_commands(select: int, depth: int) -> bytes:
+    """OP_READ commands for addresses 0 .. depth-1 of one design, as one blob."""
+    ReadRequest(select, depth - 1)
+    commands = np.empty(depth, dtype=READ_COMMAND)
+    commands["op"] = OP_READ
+    commands["request"] = (select << 11) | np.arange(depth)
+    return commands.tobytes()
+
+
+def decode_requests(requests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(select, address) of 16-bit requests; a set reserved bit gives select >= 16."""
+    return requests >> 11, requests & MAX_ADDRESS
+
+
 def decode_request(b: bytes) -> ReadRequest:
     if len(b) != 2:
         raise ProtocolError(f"request must be 2 bytes, got {len(b)}")

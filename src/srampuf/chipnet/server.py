@@ -3,7 +3,9 @@
 Each client session owns at most one selected chip at a time; selecting a
 chip held by another live session is rejected in-band.  Commands within a
 session are answered strictly in order, so responses of pipelined requests
-arrive in request order.  All chip state is a pure function of
+arrive in request order.  A run of reads on a powered chip is answered
+by one lookup in the power-up's frame table; every other command goes
+through the per-opcode loop.  All chip state is a pure function of
 (master seed, chip id, cycle index): two servers built from the same seed
 answer identical command sequences with identical bytes.
 """
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import socket
 import threading
+
+import numpy as np
 
 from ..floorplan import DEFAULT_DESIGNS
 from ..simchip import ChipBank, DesignEntry, ProcessParams
@@ -24,7 +28,8 @@ class _Session:
         self.conn = conn
         self.chip: int | None = None
         self.powered = False
-        self.frames: list | None = None  # per-design (depth, 9) byte tables
+        # Power-up frames. Row starts[s] + a: design s, address a; last row: error.
+        self.frames = self.starts = self.depths = None
 
     # -- command handlers ------------------------------------------------
 
@@ -48,9 +53,12 @@ class _Session:
             cycle = self.server._cycles.get(self.chip, 0)
             self.server._cycles[self.chip] = cycle + 1
             snaps = self.server.bank.snapshots(self.chip, cycle)
-        self.frames = [
-            wire.frames_for_bits(snaps[d.name].bits) for d in self.server.bank.designs
-        ]
+        tables = [wire.frames_for_bits(snaps[d.name].bits)
+                  for d in self.server.bank.designs]
+        error = np.frombuffer(wire.encode_error(wire.ERR_BAD_REQUEST), dtype=np.uint8)
+        self.frames = np.concatenate(tables + [error[np.newaxis]])
+        self.depths = np.array([len(t) for t in tables] + [0])
+        self.starts = np.cumsum(self.depths) - self.depths
         self.powered = True
         return wire.encode_control(cycle)
 
@@ -70,12 +78,22 @@ class _Session:
             request = wire.decode_request(payload)
         except ValueError:
             return wire.encode_error(wire.ERR_BAD_REQUEST)
-        if request.puf_select >= len(self.server.bank.designs):
+        select, address = request.puf_select, request.address
+        if select >= len(self.server.bank.designs) or address >= self.depths[select]:
             return wire.encode_error(wire.ERR_BAD_REQUEST)
-        table = self.frames[request.puf_select]
-        if request.address >= table.shape[0]:
-            return wire.encode_error(wire.ERR_BAD_REQUEST)
-        return table[request.address].tobytes()
+        return self.frames[self.starts[select] + address].tobytes()
+
+    def read_run(self, buf: bytes, pos: int) -> tuple[bytes, int]:
+        """Frames for the (at most 2,048) OP_READ commands at buf[pos], and their count.
+
+        Each frame is what read() answers on a powered chip."""
+        count = min((len(buf) - pos) // 3, wire.MAX_ADDRESS + 1)
+        commands = np.frombuffer(buf, dtype=wire.READ_COMMAND, count=count, offset=pos)
+        count = int(np.logical_and.accumulate(commands["op"] == wire.OP_READ).sum())
+        select, addr = wire.decode_requests(commands["request"][:count])
+        select = np.minimum(select, len(self.depths) - 1)
+        rows = np.where(addr < self.depths[select], self.starts[select] + addr, -1)
+        return self.frames[rows].tobytes(), count
 
     # -- stream loop -------------------------------------------------------
 
@@ -105,8 +123,13 @@ class _Session:
                     elif opcode == wire.OP_READ:
                         if pos + 3 > len(buf):
                             break
-                        out.append(self.read(buf[pos + 1 : pos + 3]))
-                        pos += 3
+                        if (self.powered and pos + 6 <= len(buf)
+                                and buf[pos + 3] == wire.OP_READ):
+                            frames, count = self.read_run(buf, pos)
+                        else:
+                            frames, count = self.read(buf[pos + 1 : pos + 3]), 1
+                        out.append(frames)
+                        pos += 3 * count
                     else:
                         out.append(wire.encode_error(wire.ERR_UNKNOWN_OPCODE))
                         pos += 1

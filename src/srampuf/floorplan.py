@@ -94,7 +94,7 @@ def _split_stanzas(text: str):
         yield stanza
 
 
-def _collect(body, allowed, header_line):
+def _collect(body, allowed):
     seen = {}
     for lineno, key, rest in body:
         if key not in allowed:
@@ -138,7 +138,7 @@ def parse_config(text: str) -> tuple[ProcessParams, tuple[DesignEntry, ...]]:
             if seen_params:
                 raise ConfigError(header_line, "second params stanza")
             seen_params = True
-            fields = _collect(body, _PARAM_KEYS, header_line)
+            fields = _collect(body, _PARAM_KEYS)
             kwargs = {}
             for key in ("sigma_mismatch", "sigma_noise", "beta"):
                 if key in fields:
@@ -164,7 +164,7 @@ def parse_config(text: str) -> tuple[ProcessParams, tuple[DesignEntry, ...]]:
                     header_line, f"design {name!r} already defined on line {names[name]}"
                 )
             names[name] = header_line
-            fields = _collect(body, _DESIGN_KEYS, header_line)
+            fields = _collect(body, _DESIGN_KEYS)
             for key in _REQUIRED_DESIGN_KEYS:
                 if key not in fields:
                     raise ConfigError(header_line, f"design {name!r} missing key {key!r}")

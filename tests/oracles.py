@@ -3,6 +3,8 @@
 Everything here deliberately avoids the package's own code paths: direct
 summation instead of FFT, per-phase folding instead of spectral peaks,
 string assembly instead of integer shifting.  Slow but obviously correct.
+The scripted session of criterion 6 lives here too: sent one command at a
+time, it is the reference transcript that pipelined sends must reproduce.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import re
 from collections import Counter
 
 import numpy as np
+
+from srampuf.chipnet import protocol as wire
 
 
 def autocorr_direct(v, lags=None):
@@ -84,6 +88,44 @@ def assemble_frame(data_bits):
     stream = "101" + "".join(str(b) for b in data_bits) + "010" + "00"
     assert len(stream) == 72
     return int(stream, 2).to_bytes(9, "big")
+
+
+def format_dump_lines(header, words):
+    """Dump text assembled one f-string per line."""
+    digits = -(-header.width // 4)
+    lines = [
+        "#PUFDUMP v1",
+        f"#design {header.design} depth={header.depth} width={header.width} "
+        f"mux={header.mux} orient={header.orient} class={header.speed_class}",
+        f"#chip {header.chip} cycle {header.cycle}",
+    ]
+    lines.extend(f"{addr:04x}: {int(word):0{digits}x}" for addr, word in enumerate(words))
+    return "\n".join(lines) + "\n"
+
+
+def scripted_commands(n=1000):
+    """Seeded session commands of every opcode, one bytes object each.
+
+    Reads cover every select and address the wire allows, so many fall past
+    a design's depth; chips 0-3 and power cycles interleave with them.
+    """
+    rng = np.random.default_rng(987654321)
+    commands = [bytes([wire.OP_SELECT_CHIP, 0])]
+    while len(commands) < n:
+        roll = rng.random()
+        if roll < 0.10:
+            commands.append(bytes([wire.OP_SELECT_CHIP, int(rng.integers(0, 4))]))
+        elif roll < 0.22:
+            commands.append(bytes([wire.OP_POWER_ON]))
+        elif roll < 0.27:
+            commands.append(bytes([wire.OP_POWER_OFF]))
+        elif roll < 0.30:
+            commands.append(bytes([0x7F]))  # unknown opcode
+        else:
+            req = wire.ReadRequest(int(rng.integers(0, 11)),
+                                   int(rng.integers(0, 2048)))
+            commands.append(bytes([wire.OP_READ]) + wire.encode_request(req))
+    return commands
 
 
 _ORACLE_RUN = re.compile(r"([01])\((\d+)\)")

@@ -11,7 +11,7 @@ from math import erf, sqrt
 import numpy as np
 import pytest
 
-from oracles import assemble_frame, brute_force_period
+from oracles import assemble_frame, brute_force_period, scripted_commands
 from srampuf.analyze import scan_dump_dir
 from srampuf.biasdetect import autocorrelation, dominant_period
 from srampuf.chipnet import protocol as wire
@@ -160,26 +160,6 @@ def _recv_exact(sock, n):
     return buf
 
 
-def _scripted_commands(n=1000):
-    rng = np.random.default_rng(987654321)
-    commands = [bytes([wire.OP_SELECT_CHIP, 0])]
-    while len(commands) < n:
-        roll = rng.random()
-        if roll < 0.10:
-            commands.append(bytes([wire.OP_SELECT_CHIP, int(rng.integers(0, 4))]))
-        elif roll < 0.22:
-            commands.append(bytes([wire.OP_POWER_ON]))
-        elif roll < 0.27:
-            commands.append(bytes([wire.OP_POWER_OFF]))
-        elif roll < 0.30:
-            commands.append(bytes([0x7F]))  # unknown opcode
-        else:
-            req = wire.ReadRequest(int(rng.integers(0, 11)),
-                                   int(rng.integers(0, 2048)))
-            commands.append(bytes([wire.OP_READ]) + wire.encode_request(req))
-    return commands
-
-
 def _transcript(endpoint, commands):
     frames = []
     with socket.create_connection(endpoint) as sock:
@@ -209,7 +189,7 @@ def test_criterion_6_protocol_bit_exactness():
             assert frame[0] >> 5 == 0b101
             assert list(wire.decode_data_frames(table, width)[0]) == list(word)
 
-    commands = _scripted_commands(1000)
+    commands = scripted_commands(1000)
     transcripts = []
     for _ in range(2):
         with ChipServer(DEFAULT_DESIGNS, ProcessParams(), 123) as server:

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import format_dump_lines
 from srampuf.chipnet.dumpfile import (
     DumpFormatError,
     DumpHeader,
@@ -51,6 +55,22 @@ def test_format_dump_layout():
 def test_format_dump_word_count_must_match_depth():
     with pytest.raises(DumpFormatError):
         format_dump(HEADER, [1, 2, 3])
+
+
+def test_format_dump_rejects_word_wider_than_width():
+    with pytest.raises(DumpFormatError, match="wider than 8 bits"):
+        format_dump(HEADER, [0xFF, 0x00, 0x100, 0x0C])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_format_dump_matches_the_line_by_line_oracle(data):
+    width = data.draw(st.integers(1, 64), label="width")
+    depth = data.draw(st.integers(1, 2048), label="depth")
+    words = data.draw(arrays(np.uint64, depth, elements=st.integers(0, 2**width - 1)),
+                      label="words")
+    header = DumpHeader("P4_b", depth, width, 8, "MX", "slow", 255, 99)
+    assert format_dump(header, words) == format_dump_lines(header, words)
 
 
 def test_parse_round_trip():

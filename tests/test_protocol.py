@@ -9,6 +9,8 @@ from oracles import assemble_frame
 from srampuf.chipnet.protocol import (
     ERR_NO_CHIP,
     FRAME_LEN,
+    OP_READ,
+    READ_COMMAND,
     START_DATA,
     START_ERROR,
     ProtocolError,
@@ -18,11 +20,13 @@ from srampuf.chipnet.protocol import (
     WidthTooLarge,
     decode_data_frames,
     decode_request,
+    decode_requests,
     decode_response,
     encode_control,
     encode_error,
     encode_request,
     frames_for_bits,
+    read_commands,
 )
 from srampuf.layout import AddressOutOfRange
 
@@ -53,6 +57,25 @@ def test_decode_request_rejects_reserved_bit():
 def test_request_round_trip(select, address):
     r = ReadRequest(select, address)
     assert decode_request(encode_request(r)) == r
+
+
+@given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=2048))
+def test_read_commands_match_the_per_address_encoding(select, depth):
+    blob = read_commands(select, depth)
+    assert blob == b"".join(bytes([OP_READ]) + encode_request(ReadRequest(select, a))
+                            for a in range(depth))
+    got_select, got_address = decode_requests(np.frombuffer(blob, READ_COMMAND)["request"])
+    assert set(got_select.tolist()) == {select}
+    assert got_address.tolist() == list(range(depth))
+
+
+def test_read_commands_validation_and_the_reserved_bit():
+    with pytest.raises(SelectOutOfRange):
+        read_commands(11, 4)
+    with pytest.raises(AddressOutOfRange):
+        read_commands(0, 2049)
+    select, address = decode_requests(np.array([0x8000 | 3 << 11 | 5], dtype=">u2"))
+    assert select[0] >= 16 and address[0] == 5
 
 
 def data_frame(word):

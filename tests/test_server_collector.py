@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import scripted_commands
 from srampuf.chipnet import protocol as wire
 from srampuf.chipnet.collector import (
     FLOORPLAN_NAME,
@@ -17,7 +18,7 @@ from srampuf.chipnet.collector import (
 )
 from srampuf.chipnet.dumpfile import bits_to_words, parse_dump, words_to_bits
 from srampuf.chipnet.server import ChipServer
-from srampuf.floorplan import load_config
+from srampuf.floorplan import DEFAULT_DESIGNS, load_config
 from srampuf.layout import Geometry, Orientation, PlacedMacro
 from srampuf.metrics import wchd
 from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
@@ -172,6 +173,87 @@ def test_reads_match_the_chip_bank(server):
     snaps = bank.snapshots(7, 0)
     assert np.array_equal(words_a, bits_to_words(snaps["A"].bits))
     assert np.array_equal(words_b, bits_to_words(snaps["B"].bits))
+
+
+def _read(select, address):
+    return bytes([wire.OP_READ]) + ((select << 11) | address).to_bytes(2, "big")
+
+
+def _pipelined_session():
+    """Criterion 6's scripted commands with runs of reads spliced in.
+
+    Each run follows a power-on and mixes good reads with malformed ones:
+    reserved bit set, select 11-15, address past the design's depth.  One
+    run reads a whole design.
+    """
+    rng = np.random.default_rng(2718)
+    depths = [d.geometry.depth for d in DEFAULT_DESIGNS]
+    commands = scripted_commands(1000)
+    runs = []
+    for _ in range(30):
+        run = [bytes([wire.OP_POWER_ON])]
+        for _ in range(int(rng.integers(2, 40))):
+            select = int(rng.integers(0, 11))
+            depth = depths[select]
+            kind = rng.integers(0, 4)
+            if kind == 0:  # in range, often the last address
+                address = rng.choice([depth - 1, rng.integers(0, depth)])
+            elif kind == 1:
+                select, address = 0x10 | select, rng.integers(0, 2048)  # bit 15 set
+            elif kind == 2:
+                select, address = rng.integers(11, 16), rng.integers(0, 2048)
+            else:  # past the depth, often just past it
+                address = rng.choice([depth, rng.integers(depth, 2048)])
+            run.append(_read(int(select), int(address)))
+        runs.append(run)
+    whole = wire.read_commands(5, depths[5])
+    runs.append([bytes([wire.OP_POWER_ON])]
+                + [whole[i : i + 3] for i in range(0, len(whole), 3)])
+    for run in runs:
+        at = int(rng.integers(1, len(commands)))
+        commands[at:at] = run
+    return commands
+
+
+def _replies(commands, cuts):
+    """Replies of a fresh seed-123 server to the commands sent in pieces.
+
+    The stream is cut at the byte offsets ``cuts``.  After each piece the
+    frames of every command it completes are read, so a command cut in two
+    waits in the server's buffer for its second half.
+    """
+    blob = b"".join(commands)
+    ends = np.cumsum([len(c) for c in commands])
+    replies = b""
+    with ChipServer(DEFAULT_DESIGNS, ProcessParams(), 123) as server:
+        sock = raw_session(server)
+        try:
+            for lo, hi in zip([0, *cuts], [*cuts, len(blob)]):
+                sock.sendall(blob[lo:hi])
+                due = int(np.searchsorted(ends, hi, side="right")) * wire.FRAME_LEN
+                while len(replies) < due:
+                    chunk = sock.recv(due - len(replies))
+                    assert chunk, "server closed mid-session"
+                    replies += chunk
+        finally:
+            sock.close()
+    return replies
+
+
+def test_pipelined_sends_reproduce_the_one_at_a_time_transcript():
+    commands = _pipelined_session()
+    ends = [int(e) for e in np.cumsum([len(c) for c in commands])]
+    reference = _replies(commands, ends[:-1])
+    rng = np.random.default_rng(1618)
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, ends[-1]), 80, replace=False))
+    assert set(cuts) - set(ends), "no cut falls inside a command"
+    assert _replies(commands, []) == reference
+    assert _replies(commands, cuts) == reference
+    frames = [reference[i : i + wire.FRAME_LEN]
+              for i in range(0, len(reference), wire.FRAME_LEN)]
+    assert len(frames) == len(commands)
+    assert frames.count(wire.encode_error(wire.ERR_BAD_REQUEST)) > 100
+    assert sum(frame[0] >> 5 == wire.START_DATA for frame in frames) > 1000
 
 
 @pytest.mark.parametrize(
