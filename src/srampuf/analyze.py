@@ -5,6 +5,12 @@ the chip's cycle-0 enrollment), the positional bias profile and its
 autocorrelation, the dominant bias period and majority template, masked
 Hamming weight against that template, per-bit min-entropy endpoints, and
 the bias direction relative to a baseline design.
+
+Each design's dumps load into one ``(chips, cycles, cells)`` uint8 bit
+tensor, and every statistic is a reduction over its axes: one ``wchd``
+call per design compares all reconstructions with their enrollment, one
+``mhw`` call covers every reading, and the template folds the column sums
+of all readings at once.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ def scan_dump_dir(dump_dir) -> dict[str, DesignDumps]:
     """Index a dump directory by design; validates header consistency."""
     root = Path(dump_dir)
     index: dict[str, DesignDumps] = {}
-    for path in sorted(root.glob("*.pufdump")):
+    for path in sorted(root.glob("*.pufdump"), key=lambda p: p.name):
         with open(path, "r", encoding="utf-8") as fh:
             head = [fh.readline().rstrip("\n") for _ in range(3)]
         header = parse_header(head)
@@ -102,17 +108,13 @@ def scan_dump_dir(dump_dir) -> dict[str, DesignDumps]:
 
 
 def _readings(design: DesignDumps, chips, cycles) -> np.ndarray:
-    """(readings, cells) bit matrix ordered by (chip, cycle)."""
-    rows = np.empty((len(chips) * len(cycles), design.cells), dtype=np.uint8)
-    i = 0
-    for chip in chips:
-        for cycle in cycles:
-            header, words = parse_dump(
-                design.files[(chip, cycle)].read_text(encoding="utf-8")
-            )
-            rows[i] = words_to_bits(words, header.width).reshape(-1)
-            i += 1
-    return rows
+    """(chips, cycles, cells) bit tensor; words_to_bits yields only 0/1."""
+    bits = np.empty((len(chips), len(cycles), design.cells), dtype=np.uint8)
+    for i, chip in enumerate(chips):
+        for j, cycle in enumerate(cycles):
+            header, words = parse_dump(design.files[(chip, cycle)].read_bytes())
+            bits[i, j] = words_to_bits(words, header.width).reshape(-1)
+    return bits
 
 
 def _grid(index: dict[str, DesignDumps]) -> tuple[list[int], list[int]]:
@@ -163,7 +165,6 @@ def analyze_dumps(
             f"baseline design {baseline!r} not in dumps ({sorted(index)})"
         )
     chips, cycles = _grid(index)
-    recon_cycles = [c for c in cycles if c != 0]
 
     params: ProcessParams | None = None
     notes: list[str] = []
@@ -178,21 +179,14 @@ def analyze_dumps(
     for name in sorted(index):
         design = index[name]
         bits = _readings(design, chips, cycles)
-        n_cycles = len(cycles)
-
-        per_chip_wchd = []
-        for ci in range(len(chips)):
-            block = bits[ci * n_cycles : (ci + 1) * n_cycles]
-            enroll = block[cycles.index(0)]
-            per_chip_wchd.append(
-                float(np.mean([wchd(enroll, block[cycles.index(k)])
-                               for k in recon_cycles]))
-            )
+        rows = bits.reshape(-1, design.cells)
+        # Cycles are sorted and include 0, so index 0 is the enrollment.
+        per_chip_wchd = wchd(bits[:, :1], bits[:, 1:]).mean(axis=-1).tolist()
 
         if profile_mode == "mean":
-            profile = bits.mean(axis=0)
+            profile = rows.mean(axis=0)
         else:
-            chip_profiles = bits.reshape(len(chips), n_cycles, -1).mean(axis=1)
+            chip_profiles = bits.mean(axis=1)
             profile = chip_profiles[strongest_vector(chip_profiles)]
 
         autocorr = None
@@ -202,7 +196,7 @@ def analyze_dumps(
         try:
             autocorr = autocorrelation(profile)
             period = dominant_period(autocorr, profile.size)
-            template = smooth_template(extract_template(list(bits), period))
+            template = smooth_template(extract_template(rows, period))
             canonical, _ = canonical_cycle(template)
             bias = BiasReport(
                 detected_period=period,
@@ -220,19 +214,10 @@ def analyze_dumps(
             reps = -(-profile.size // canonical.size)
             tiled = np.tile(canonical, reps)[: profile.size].astype(np.float64)
             directions[name] = bias_direction(profile, tiled, max_lag=0)
-            per_chip_mhw = [
-                float(np.mean([
-                    mhw(bits[ci * n_cycles + k], template)
-                    for k in range(n_cycles)
-                ]))
-                for ci in range(len(chips))
-            ]
+            per_chip_mhw = mhw(bits, template).mean(axis=-1).tolist()
         else:
             directions[name] = 0
-            per_chip_mhw = [
-                float(np.mean(bits[ci * n_cycles : (ci + 1) * n_cycles]))
-                for ci in range(len(chips))
-            ]
+            per_chip_mhw = [float(np.mean(chip_bits)) for chip_bits in bits]
             notes.append(f"{name}: reporting raw FHW in the MHW column")
 
         mhw_lo, mhw_hi = min(per_chip_mhw), max(per_chip_mhw)
@@ -323,6 +308,16 @@ def analysis_to_report(run: RunAnalysis) -> dict:
     return {"meta": run.meta, "notes": run.notes, "rows": rows}
 
 
+def _write_columns(path: Path, title: str, values: np.ndarray) -> None:
+    """``title`` then one "index value" line per element, in one write."""
+    values = values.tolist()
+    cells = [None] * (2 * len(values))
+    cells[0::2] = range(len(values))
+    cells[1::2] = values
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(title + "%d %.8f\n" * len(values) % tuple(cells))
+
+
 def write_plot_data(run: RunAnalysis, plot_dir) -> list[Path]:
     """Per-design profile and autocorrelation as two-column text files."""
     out = Path(plot_dir)
@@ -330,16 +325,10 @@ def write_plot_data(run: RunAnalysis, plot_dir) -> list[Path]:
     written = []
     for r in run.results:
         path = out / f"{r.name}_profile.dat"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# readout-index one-probability\n")
-            for i, v in enumerate(r.profile):
-                fh.write(f"{i} {v:.8f}\n")
+        _write_columns(path, "# readout-index one-probability\n", r.profile)
         written.append(path)
         if r.autocorr is not None:
             path = out / f"{r.name}_autocorr.dat"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("# lag autocorrelation\n")
-                for i, v in enumerate(r.autocorr):
-                    fh.write(f"{i} {v:.8f}\n")
+            _write_columns(path, "# lag autocorrelation\n", r.autocorr)
             written.append(path)
     return written

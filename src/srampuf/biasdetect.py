@@ -116,22 +116,27 @@ def dominant_period(
 def extract_template(vectors, period: int, min_samples: int = 8) -> np.ndarray:
     """Fold bit vectors at a period and take the per-phase majority.
 
-    ``vectors`` is an iterable of 1-d bit arrays, each folded from its own
-    position zero (lengths may differ).  Ties resolve to 0.  Raises
-    InsufficientData when any phase collects fewer than ``min_samples``
-    observations in total.
+    ``vectors`` is a 2-d matrix with one vector per row, or an iterable of
+    1-d bit arrays (lengths may differ); each vector is folded from its own
+    position zero, so a matrix folds its column sums in one pass.  Ties
+    resolve to 0.  Raises InsufficientData when any phase collects fewer
+    than ``min_samples`` observations in total.
     """
     if period < 1:
         raise ValueError(f"period must be positive, got {period}")
-    arrays = [np.asarray(v).reshape(-1) for v in vectors]
-    if not arrays:
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        matrices = [vectors] if vectors.shape[0] else []
+    else:
+        matrices = [np.asarray(v).reshape(1, -1) for v in vectors]
+    if not matrices:
         raise InsufficientData("no vectors given")
     ones = np.zeros(period, dtype=np.int64)
     total = np.zeros(period, dtype=np.int64)
-    for arr in arrays:
-        phases = np.arange(arr.size) % period
-        ones += np.bincount(phases, weights=arr, minlength=period).astype(np.int64)
-        total += np.bincount(phases, minlength=period)
+    for mat in matrices:
+        phases = np.arange(mat.shape[1]) % period
+        column_ones = mat.sum(axis=0, dtype=np.int64)
+        ones += np.bincount(phases, weights=column_ones, minlength=period).astype(np.int64)
+        total += mat.shape[0] * np.bincount(phases, minlength=period)
     if total.min() < min_samples:
         raise InsufficientData(
             f"only {int(total.min())} samples in the thinnest of {period} phases"

@@ -10,6 +10,10 @@ Format::
 
 One body line per address, addresses in order, lowercase hex; the word
 field is ceil(w/4) digits wide with bit w-1 as the most significant bit.
+Body lines are therefore fixed width, so both the writer and the parser
+treat the body as one ``(depth, digits + 7)`` byte array.  The parser
+falls back to a line-by-line regex loop whenever that view does not fit,
+which is also what names the first bad line in its error.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ import numpy as np
 
 MAGIC = "#PUFDUMP v1"
 _HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# Byte -> nibble value; any byte that is not lowercase hex maps to 0xFF.
+_NIBBLE = np.full(256, 0xFF, dtype=np.uint8)
+_NIBBLE[_HEX] = np.arange(16, dtype=np.uint8)
 
 _DESIGN_RE = re.compile(
     r"#design (\S+) depth=(\d+) width=(\d+) mux=(\d+) orient=(\S+) class=(fast|slow)$"
@@ -97,7 +104,59 @@ def parse_header(lines: list[str]) -> DumpHeader:
     )
 
 
-def parse_dump(text: str) -> tuple[DumpHeader, np.ndarray]:
+def parse_dump(data: str | bytes) -> tuple[DumpHeader, np.ndarray]:
+    """Header and word values of a dump given as text or as UTF-8 bytes."""
+    parsed = _parse_fixed_width(data.encode("utf-8") if isinstance(data, str) else data)
+    if parsed is not None:
+        return parsed
+    return _parse_lines(data if isinstance(data, str) else data.decode("utf-8"))
+
+
+def _parse_fixed_width(raw: bytes) -> tuple[DumpHeader, np.ndarray] | None:
+    """The body as one byte array; None if any line breaks the fixed layout.
+
+    A bad header raises here just as in the line loop: both parse the same
+    three lines.
+    """
+    parts = raw.split(b"\n", 3)
+    if len(parts) < 4:
+        return None
+    try:
+        lines = [part.decode("ascii") for part in parts[:3]]
+    except UnicodeDecodeError:
+        return None
+    if "\n".join(lines).splitlines() != lines:  # another line break in the header
+        return None
+    header = parse_header(lines)
+    digits = word_hex_width(header.width)
+    body = np.frombuffer(parts[3], dtype=np.uint8)
+    if not 0 < digits <= 16 or body.size != header.depth * (digits + 7):
+        return None
+    body = body.reshape(header.depth, digits + 7)
+    nibbles = _NIBBLE[body]
+    if (
+        (nibbles[:, :4] > 15).any()
+        or (nibbles[:, 6:-1] > 15).any()
+        or (body[:, 4] != ord(":")).any()
+        or (body[:, 5] != ord(" ")).any()
+        or (body[:, -1] != ord("\n")).any()
+    ):
+        return None
+    address = nibbles[:, :4].astype(np.int64) @ np.array([4096, 256, 16, 1])
+    if (address != np.arange(header.depth)).any():
+        return None
+    # Left-pad the digits to 16 nibbles, pair them into bytes, read big-endian.
+    padded = np.zeros((header.depth, 16), dtype=np.uint8)
+    padded[:, 16 - digits :] = nibbles[:, 6:-1]
+    packed = (padded[:, 0::2] << 4) | padded[:, 1::2]
+    words = packed.view(">u8").reshape(-1).astype(np.uint64)
+    if header.width < 64 and (words >> np.uint64(header.width)).any():
+        return None
+    return header, words
+
+
+def _parse_lines(text: str) -> tuple[DumpHeader, np.ndarray]:
+    """One regex per body line; raises DumpFormatError naming the bad line."""
     lines = text.splitlines()
     header = parse_header(lines[:3])
     body = lines[3:]

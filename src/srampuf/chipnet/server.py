@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import numpy as np
 
@@ -140,6 +141,7 @@ class _Session:
             pass
         finally:
             with self.server._lock:
+                self.server._sessions.pop(self, None)
                 if self.chip is not None:
                     owner = self.server._owners.get(self.chip)
                     if owner is self:
@@ -167,6 +169,7 @@ class ChipServer:
         self._lock = threading.Lock()
         self._cycles: dict[int, int] = {}
         self._owners: dict[int, _Session] = {}
+        self._sessions: dict[_Session, threading.Thread] = {}  # live ones
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._stopping = threading.Event()
@@ -198,9 +201,14 @@ class ChipServer:
                 break
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             session = _Session(self, conn)
-            threading.Thread(target=session.run, daemon=True).start()
+            thread = threading.Thread(target=session.run, name="srampuf-session",
+                                      daemon=True)
+            with self._lock:
+                self._sessions[session] = thread
+            thread.start()
 
     def shutdown(self) -> None:
+        """Stop accepting, end every live session and wait for its thread."""
         self._stopping.set()
         if self._listener is not None:
             try:
@@ -209,6 +217,15 @@ class ChipServer:
                 pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
+        with self._lock:
+            live = list(self._sessions.items())
+        for session, _ in live:
+            try:
+                session.conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # the session closed it already
+                pass
+        for _, thread in live:
+            thread.join(timeout=5)
 
     def __enter__(self) -> "ChipServer":
         self.start()
@@ -229,7 +246,10 @@ def serve(
     host, port = server.start()
     print(f"serving chip bank (seed {seed}) on {host}:{port}")
     try:
-        threading.Event().wait()
+        # A timed sleep returns to the interpreter, which then raises a
+        # SIGINT that the kernel delivered to any other thread.
+        while True:
+            time.sleep(0.25)
     except KeyboardInterrupt:
         pass
     finally:

@@ -49,12 +49,17 @@ class MetricsRow:
 
 
 def _as_bits(x) -> np.ndarray:
+    """``x`` as a uint8 array of its own shape, checked to hold only 0/1."""
     arr = np.asarray(x)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.dtype.kind in "bu":  # no negatives, so one pass for the maximum
+        ok = arr.max(initial=0) <= 1
+    else:
+        ok = np.isin(arr, (0, 1)).all()
+    if not ok:
         raise ValueError("bit array contains values other than 0/1")
-    return arr.astype(np.uint8)
+    return arr.astype(np.uint8, copy=False)
 
 
 def fhw(bits) -> float:
@@ -65,35 +70,45 @@ def fhw(bits) -> float:
     return float(arr.mean())
 
 
-def wchd(enrollment, reconstruction) -> float:
-    """Within-class Hamming distance, as a fraction of compared bits."""
+def _per_reading(values: np.ndarray):
+    """A float for a single reading, the array for a stack of them."""
+    return float(values) if values.ndim == 0 else values
+
+
+def wchd(enrollment, reconstruction):
+    """Within-class Hamming distance, as a fraction of compared bits.
+
+    Readings lie along the last axis; leading axes broadcast, so stacks of
+    readings give an array of distances and two 1-d readings give a float.
+    """
     a = _as_bits(enrollment)
     b = _as_bits(reconstruction)
-    if a.size != b.size:
-        raise LengthMismatch(f"length mismatch: {a.size} vs {b.size}")
-    if a.size == 0:
+    if a.shape[-1] != b.shape[-1]:
+        raise LengthMismatch(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    if a.shape[-1] == 0:
         raise EmptyInput("empty bit arrays")
-    return float(np.not_equal(a, b).mean())
+    return _per_reading(np.not_equal(a, b).mean(axis=-1))
 
 
-def mhw(response, template) -> float:
+def mhw(response, template):
     """Masked Hamming weight: FHW after removing a periodic component.
 
     The template is tiled from position zero and XORed onto the response;
     a trailing partial period is dropped so every template phase carries
-    equal weight.
+    equal weight.  Responses lie along the last axis: a stack of responses
+    gives an array, a 1-d response a float.
     """
     arr = _as_bits(response)
-    cyc = _as_bits(template)
+    cyc = _as_bits(template).reshape(-1)
     if cyc.size == 0:
         raise EmptyInput("empty template")
-    usable = (arr.size // cyc.size) * cyc.size
+    usable = (arr.shape[-1] // cyc.size) * cyc.size
     if usable == 0:
         raise EmptyInput(
-            f"response of {arr.size} bits is shorter than one {cyc.size}-bit period"
+            f"response of {arr.shape[-1]} bits is shorter than one {cyc.size}-bit period"
         )
     tiled = np.tile(cyc, usable // cyc.size)
-    return float(np.bitwise_xor(arr[:usable], tiled).mean())
+    return _per_reading(np.bitwise_xor(arr[..., :usable], tiled).mean(axis=-1))
 
 
 def min_entropy_by_one_probability(p: float) -> float:

@@ -103,6 +103,18 @@ def format_dump_lines(header, words):
     return "\n".join(lines) + "\n"
 
 
+def parse_dump_lines(text):
+    """Word values of a well-formed dump, one int(..., 16) per body line."""
+    lines = text.split("\n")
+    assert lines[-1] == "", "dump text must end with a newline"
+    words = []
+    for addr, line in enumerate(lines[3:-1]):
+        address, word = line.split(": ")
+        assert int(address, 16) == addr
+        words.append(int(word, 16))
+    return np.array(words, dtype=np.uint64)
+
+
 def scripted_commands(n=1000):
     """Seeded session commands of every opcode, one bytes object each.
 

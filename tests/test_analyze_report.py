@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import parse_rendered_table
+from oracles import majority_template, parse_rendered_table
 from srampuf.analyze import (
     MissingBaseline,
     REFERENCE_TOTAL_BITS,
@@ -14,11 +14,23 @@ from srampuf.analyze import (
     scan_dump_dir,
     write_plot_data,
 )
-from srampuf.biasdetect import InsufficientData
-from srampuf.chipnet.dumpfile import DumpHeader, bits_to_words, dump_filename, format_dump
+from srampuf.biasdetect import (
+    InsufficientData,
+    extract_template,
+    smooth_template,
+    strongest_vector,
+)
+from srampuf.chipnet.dumpfile import (
+    DumpHeader,
+    bits_to_words,
+    dump_filename,
+    format_dump,
+    parse_dump,
+    words_to_bits,
+)
 from srampuf.layout import Geometry, Orientation, PlacedMacro
-from srampuf.metrics import min_entropy_by_one_probability
-from srampuf.patterns import parse_run_length
+from srampuf.metrics import mhw, min_entropy_by_one_probability, wchd
+from srampuf.patterns import canonical_cycle, parse_run_length
 from srampuf.report import ReportParseError, load_report, render_table, save_report
 from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
 
@@ -116,6 +128,60 @@ def test_top_chip_mode_degrades_but_does_not_fail(small_run):
     # but the baseline profile is too thin, so directions collapse to 0
     assert all(r.bias.direction == 0 for r in run.results)
     assert any("baseline" in n for n in run.notes)
+
+
+def test_tensor_metrics_equal_the_per_reading_scalars():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2, size=(3, 4, 96), dtype=np.uint8)  # chips, cycles, cells
+    distances = wchd(bits[:, :1], bits[:, 1:])
+    assert distances.shape == (3, 3)
+    template = rng.integers(0, 2, size=7, dtype=np.uint8)  # 96 bits: 5 trailing dropped
+    weights = mhw(bits, template)
+    assert weights.shape == (3, 4)
+    for chip in range(3):
+        for cycle in range(4):
+            assert weights[chip, cycle] == mhw(bits[chip, cycle], template)
+            if cycle:
+                assert distances[chip, cycle - 1] == wchd(bits[chip, 0], bits[chip, cycle])
+    rows = bits.reshape(-1, 96)
+    folded = extract_template(rows, 12)
+    assert np.array_equal(folded, extract_template(list(rows), 12))
+    assert np.array_equal(folded, majority_template(rows, 12))
+
+
+def read_bits(path):
+    header, words = parse_dump(path.read_text())
+    return words_to_bits(words, header.width).reshape(-1)
+
+
+@pytest.mark.parametrize("profile_mode", ["mean", "top-chip"])
+def test_analysis_equals_the_per_reading_computation(small_run, profile_mode):
+    run = analyze_dumps(small_run["dumps"], profile_mode=profile_mode)
+    index = scan_dump_dir(small_run["dumps"])
+    chips, cycles = range(small_run["chips"]), range(small_run["cycles"])
+    for r in run.results:
+        readings = [[read_bits(index[r.name].files[(chip, cycle)]) for cycle in cycles]
+                    for chip in chips]
+        per_chip_wchd = [float(np.mean([wchd(chip[0], recon) for recon in chip[1:]]))
+                         for chip in readings]
+        assert (r.metrics.wchd_min, r.metrics.wchd_max) == (min(per_chip_wchd),
+                                                            max(per_chip_wchd))
+        flat = [reading for chip in readings for reading in chip]
+        if profile_mode == "mean":
+            profile = np.mean(flat, axis=0)
+        else:
+            chip_profiles = np.mean(readings, axis=1)
+            profile = chip_profiles[strongest_vector(chip_profiles)]
+        assert np.array_equal(r.profile, profile)
+        if r.bias.template is None:
+            per_chip_mhw = [float(np.mean(chip)) for chip in readings]
+        else:
+            template = smooth_template(extract_template(flat, r.bias.detected_period))
+            assert tuple(canonical_cycle(template)[0].tolist()) == r.bias.template
+            per_chip_mhw = [float(np.mean([mhw(reading, template) for reading in chip]))
+                            for chip in readings]
+        assert (r.metrics.mhw_min, r.metrics.mhw_max) == (min(per_chip_mhw),
+                                                          max(per_chip_mhw))
 
 
 def test_profile_mode_validation(small_run):

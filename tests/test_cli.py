@@ -175,6 +175,30 @@ def test_serve_runs_as_a_subprocess(tmp_path, small_cfg):
             proc.wait(timeout=10)
 
 
+# serve() on the main thread; a side thread sends SIGINT to itself, so the
+# kernel delivers it away from the thread that must raise KeyboardInterrupt.
+SIGINT_ON_A_SIDE_THREAD = """
+import signal, threading, time
+from srampuf.chipnet.server import serve
+
+def interrupt_this_thread():
+    time.sleep(0.5)
+    signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+
+threading.Thread(target=interrupt_this_thread, daemon=True).start()
+serve(None, None, 5, ("127.0.0.1", 0))
+print("stopped")
+"""
+
+
+def test_serve_stops_on_a_sigint_delivered_to_another_thread():
+    proc = subprocess.run([sys.executable, "-c", SIGINT_ON_A_SIDE_THREAD],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("serving chip bank (seed 5) on ")
+    assert proc.stdout.endswith("stopped\n")
+
+
 def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import format_dump_lines
+from oracles import format_dump_lines, parse_dump_lines
 from srampuf.chipnet.dumpfile import (
     DumpFormatError,
     DumpHeader,
+    _parse_fixed_width,
+    _parse_lines,
     bits_to_words,
     dump_filename,
     format_dump,
@@ -71,6 +73,65 @@ def test_format_dump_matches_the_line_by_line_oracle(data):
                       label="words")
     header = DumpHeader("P4_b", depth, width, 8, "MX", "slow", 255, 99)
     assert format_dump(header, words) == format_dump_lines(header, words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_parse_dump_matches_the_line_by_line_oracle(data):
+    width = data.draw(st.integers(1, 64), label="width")
+    depth = data.draw(st.integers(1, 2048), label="depth")
+    words = data.draw(arrays(np.uint64, depth, elements=st.integers(0, 2**width - 1)),
+                      label="words")
+    header = DumpHeader("P4_b", depth, width, 8, "MX", "slow", 255, 99)
+    text = format_dump(header, words)
+    for given_as in (text, text.encode("ascii")):
+        parsed_header, got = parse_dump(given_as)
+        assert parsed_header == header
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, parse_dump_lines(text))
+        assert np.array_equal(got, words)
+
+
+def _outcome(parse, data):
+    """What a parser makes of ``data``: its result, or its error message."""
+    try:
+        header, words = parse(data)
+    except DumpFormatError as e:
+        return "error", str(e)
+    return header, words.tolist()
+
+
+WIDE = DumpHeader("W", 6, 10, 2, "R0", "slow", 0, 0)
+WIDE_TEXT = format_dump(WIDE, [0x3FF, 0x000, 0x2A5, 0x15A, 0x001, 0x200])
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        (lambda t: t, None),
+        (lambda t: t.replace("0002: 2a5", "0002: 2A5"), "bad body line 2: '0002: 2A5'"),
+        (lambda t: t.replace("0003: 15a", "0003: 15A"), "bad body line 3: '0003: 15A'"),
+        (lambda t: t.replace("\n", "\r\n"), None),
+        (lambda t: t[:-1], None),
+        (lambda t: t.replace("0003: 15a", "0004: 15a"), "address 0004 out of order at line 3"),
+        (lambda t: t.replace("0004: 001", "0004: 401"), "word 401 wider than 10 bits"),
+        (lambda t: t.replace("0001: 000", "0001: 00"), "bad body line 1: '0001: 00'"),
+        (lambda t: t.replace("0001: 000", "0001: 00 "), "bad body line 1: '0001: 00 '"),
+        (lambda t: t.replace("0005: 200", "0005:0200"), "bad body line 5: '0005:0200'"),
+        (lambda t: t.replace("0005: 200\n", "0005: 200\n\n"), "7 body lines for depth 6"),
+    ],
+)
+def test_fixed_width_parse_falls_back_to_the_line_loop(mutate, expected):
+    text = mutate(WIDE_TEXT)
+    reference = _outcome(_parse_lines, text)
+    if expected is None:
+        assert reference[0] == WIDE
+    else:
+        assert reference == ("error", expected)
+    assert _outcome(parse_dump, text) == reference
+    assert _outcome(parse_dump, text.encode("utf-8")) == reference
+    # only the untouched dump fits the fixed-width view
+    assert (_parse_fixed_width(text.encode("utf-8")) is None) == (text != WIDE_TEXT)
 
 
 def test_parse_round_trip():

@@ -17,7 +17,7 @@ from srampuf.chipnet.collector import (
     collect,
 )
 from srampuf.chipnet.dumpfile import bits_to_words, parse_dump, words_to_bits
-from srampuf.chipnet.server import ChipServer
+from srampuf.chipnet.server import ChipServer, _Session
 from srampuf.floorplan import DEFAULT_DESIGNS, load_config
 from srampuf.layout import Geometry, Orientation, PlacedMacro
 from srampuf.metrics import wchd
@@ -155,6 +155,31 @@ def test_disconnect_releases_the_chip(server):
             time.sleep(0.05)
     finally:
         b.close()
+
+
+def test_shutdown_ends_live_sessions_and_joins_their_threads(monkeypatch):
+    run = _Session.run
+
+    def slow_to_exit(session):  # a session thread that outlives its socket
+        run(session)
+        time.sleep(0.3)
+
+    monkeypatch.setattr(_Session, "run", slow_to_exit)
+    before = set(threading.enumerate())
+    with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
+        clients = [raw_session(s) for _ in range(2)]
+        for chip, sock in enumerate(clients):
+            assert command(sock, bytes([wire.OP_SELECT_CHIP, chip])).data == chip
+        sessions = [t for t in threading.enumerate()
+                    if t not in before and t.name == "srampuf-session"]
+        assert len(sessions) == 2
+    try:
+        assert not [t for t in sessions if t.is_alive()]
+        for sock in clients:
+            assert sock.recv(1) == b""  # the server ended the session
+    finally:
+        for sock in clients:
+            sock.close()
 
 
 def test_reads_match_the_chip_bank(server):
