@@ -15,7 +15,7 @@ of all readings at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +32,9 @@ from .biasdetect import (
     smooth_template,
     strongest_vector,
 )
-from .chipnet.collector import FLOORPLAN_NAME, MANIFEST_NAME
-from .chipnet.dumpfile import DumpHeader, parse_dump, parse_header, words_to_bits
-from .floorplan import load_config
+from .chipnet.dumpdir import grid, load_bits, read_plan, scan_dump_dir
 from .metrics import MetricsRow, mhw, min_entropy_by_one_probability, wchd
 from .patterns import canonical_cycle, cyclic_notation
-from .simchip import ProcessParams
 
 # Per-reading bit count of the physical reference harness this workbench
 # emulates; reported runs are flagged when their floorplan total differs.
@@ -48,18 +45,6 @@ PROFILE_MODES = ("mean", "top-chip")
 
 class MissingBaseline(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DesignDumps:
-    """Locations and shared header geometry of one design's dump files."""
-
-    header: DumpHeader  # chip/cycle fields are not meaningful here
-    files: dict  # (chip, cycle) -> Path
-
-    @property
-    def cells(self) -> int:
-        return self.header.depth * self.header.width
 
 
 @dataclass
@@ -83,74 +68,6 @@ class RunAnalysis:
     results: list[DesignResult] = field(default_factory=list)
 
 
-def scan_dump_dir(dump_dir) -> dict[str, DesignDumps]:
-    """Index a dump directory by design; validates header consistency."""
-    root = Path(dump_dir)
-    index: dict[str, DesignDumps] = {}
-    for path in sorted(root.glob("*.pufdump"), key=lambda p: p.name):
-        with open(path, "r", encoding="utf-8") as fh:
-            head = [fh.readline().rstrip("\n") for _ in range(3)]
-        header = parse_header(head)
-        known = index.get(header.design)
-        if known is None:
-            index[header.design] = DesignDumps(header=header, files={})
-        else:
-            for field_name in ("depth", "width", "mux", "orient", "speed_class"):
-                if getattr(known.header, field_name) != getattr(header, field_name):
-                    raise InsufficientData(
-                        f"{path.name}: {field_name} disagrees with other "
-                        f"{header.design} dumps"
-                    )
-        index[header.design].files[(header.chip, header.cycle)] = path
-    if not index:
-        raise InsufficientData(f"no .pufdump files under {root}")
-    return index
-
-
-def _readings(design: DesignDumps, chips, cycles) -> np.ndarray:
-    """(chips, cycles, cells) bit tensor; words_to_bits yields only 0/1."""
-    bits = np.empty((len(chips), len(cycles), design.cells), dtype=np.uint8)
-    for i, chip in enumerate(chips):
-        for j, cycle in enumerate(cycles):
-            header, words = parse_dump(design.files[(chip, cycle)].read_bytes())
-            bits[i, j] = words_to_bits(words, header.width).reshape(-1)
-    return bits
-
-
-def _grid(index: dict[str, DesignDumps]) -> tuple[list[int], list[int]]:
-    """Common (chips, cycles) grid across designs; must be complete."""
-    keys = None
-    for design in index.values():
-        if keys is None:
-            keys = set(design.files)
-        elif set(design.files) != keys:
-            raise InsufficientData("designs cover different chip/cycle sets")
-    chips = sorted({c for c, _ in keys})
-    cycles = sorted({k for _, k in keys})
-    if len(keys) != len(chips) * len(cycles):
-        raise InsufficientData("chip/cycle grid has holes")
-    if len(chips) < 2:
-        raise InsufficientData(f"need dumps from >= 2 chips, found {len(chips)}")
-    if len(cycles) < 2:
-        raise InsufficientData(f"need dumps from >= 2 cycles, found {len(cycles)}")
-    if 0 not in cycles:
-        raise InsufficientData("no cycle-0 enrollment dumps present")
-    return chips, cycles
-
-
-def _read_manifest(dump_dir: Path) -> dict:
-    meta = {}
-    path = dump_dir / MANIFEST_NAME
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(" ")
-            meta[key] = value.strip()
-    return meta
-
-
 def analyze_dumps(
     dump_dir,
     baseline: str = "P1_a",
@@ -158,27 +75,23 @@ def analyze_dumps(
 ) -> RunAnalysis:
     if profile_mode not in PROFILE_MODES:
         raise ValueError(f"profile_mode must be one of {PROFILE_MODES}")
-    root = Path(dump_dir)
-    index = scan_dump_dir(root)
+    index = scan_dump_dir(dump_dir)
     if baseline not in index:
         raise MissingBaseline(
             f"baseline design {baseline!r} not in dumps ({sorted(index)})"
         )
-    chips, cycles = _grid(index)
+    chips, cycles = grid(index)
 
-    params: ProcessParams | None = None
     notes: list[str] = []
-    plan_path = root / FLOORPLAN_NAME
-    if plan_path.exists():
-        params, _ = load_config(plan_path)
-    else:
+    params, seed = read_plan(dump_dir)
+    if params is None:
         notes.append("no floorplan.cfg beside the dumps; process parameters unknown")
 
     results: list[DesignResult] = []
     directions: dict[str, int] = {}
     for name in sorted(index):
         design = index[name]
-        bits = _readings(design, chips, cycles)
+        bits = load_bits(design, chips, cycles)
         rows = bits.reshape(-1, design.cells)
         # Cycles are sorted and include 0, so index 0 is the enrollment.
         per_chip_wchd = wchd(bits[:, :1], bits[:, 1:]).mean(axis=-1).tolist()
@@ -193,6 +106,7 @@ def analyze_dumps(
         bias = BiasReport(detected_period=None, template=None, notation=None,
                           direction=0)
         template = None
+        directions[name] = 0
         try:
             autocorr = autocorrelation(profile)
             period = dominant_period(autocorr, profile.size)
@@ -213,10 +127,12 @@ def analyze_dumps(
             # sign against the canonical (0-leading) cycle.
             reps = -(-profile.size // canonical.size)
             tiled = np.tile(canonical, reps)[: profile.size].astype(np.float64)
-            directions[name] = bias_direction(profile, tiled, max_lag=0)
+            try:
+                directions[name] = bias_direction(profile, tiled, max_lag=0)
+            except ConstantInput:  # smoothing erased every run but one
+                notes.append(f"{name}: template {bias.notation} is constant; BD column is 0")
             per_chip_mhw = mhw(bits, template).mean(axis=-1).tolist()
         else:
-            directions[name] = 0
             per_chip_mhw = [float(np.mean(chip_bits)) for chip_bits in bits]
             notes.append(f"{name}: reporting raw FHW in the MHW column")
 
@@ -249,12 +165,7 @@ def analyze_dumps(
     if base_dir == 0:
         notes.append(f"baseline {baseline} has no bias direction; BD column is 0")
     for result in results:
-        result.bias = BiasReport(
-            detected_period=result.bias.detected_period,
-            template=result.bias.template,
-            notation=result.bias.notation,
-            direction=directions[result.name] * base_dir,
-        )
+        result.bias = replace(result.bias, direction=directions[result.name] * base_dir)
 
     total = sum(d.cells for d in index.values())
     if total != REFERENCE_TOTAL_BITS:
@@ -264,7 +175,6 @@ def analyze_dumps(
             f"{REFERENCE_TOTAL_BITS - total:+d})"
         )
 
-    manifest = _read_manifest(root)
     meta = {
         "baseline": baseline,
         "profile_mode": profile_mode,
@@ -272,7 +182,7 @@ def analyze_dumps(
         "cycles": len(cycles),
         "designs": len(results),
         "total_bits_per_reading": total,
-        "seed": int(manifest["seed"]) if "seed" in manifest else None,
+        "seed": seed,
     }
     if params is not None:
         meta["params"] = {

@@ -2,28 +2,36 @@
 
 Each design is read with one write of all its read commands; the server
 answers strictly in order, so the frames are consumed as one block per
-design.  A lost connection is retried per chip/cycle: the collector
-reconnects, reselects the chip and redoes the power cycle, labelling the
-dump with whatever cycle index the server reports.
+design.  A power-up's dumps are written once all its designs are read, under
+the collector's own cycle count, so a power-up retried after a lost
+connection rewrites the same names.
 """
 
 from __future__ import annotations
 
 import socket
+import time
 from pathlib import Path
 
 import numpy as np
 
-from ..floorplan import DEFAULT_DESIGNS, format_config
+from ..floorplan import DEFAULT_DESIGNS
 from ..simchip import DesignEntry, ProcessParams
 from . import protocol as wire
-from .dumpfile import DumpHeader, bits_to_words, dump_filename, format_dump
+from .dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, write_cycle, write_manifest  # noqa: F401
+from .dumpfile import bits_to_words
 
-MANIFEST_NAME = "manifest.txt"
-FLOORPLAN_NAME = "floorplan.cfg"
+# Reconnects per power-up; finding the chip still held by the dropped
+# session also counts as a failed attempt, after the pause.
+RETRIES = 2
+RETRY_PAUSE_S = 0.2
 
 
 class ConnectionLost(ConnectionError):
+    pass
+
+
+class ChipBusy(wire.ProtocolError):
     pass
 
 
@@ -46,7 +54,6 @@ class HarnessClient:
     """One protocol session against a readout server."""
 
     def __init__(self, endpoint: tuple[str, int]):
-        self.endpoint = endpoint
         try:
             self.sock = socket.create_connection(endpoint, timeout=30)
         except OSError as e:
@@ -70,7 +77,8 @@ class HarnessClient:
         frame = wire.decode_response(_recv_exact(self.sock, wire.FRAME_LEN))
         if frame.is_error:
             name = wire.ERROR_NAMES.get(frame.data, f"code {frame.data}")
-            raise wire.ProtocolError(f"server rejected command: {name}")
+            error = ChipBusy if frame.data == wire.ERR_CHIP_BUSY else wire.ProtocolError
+            raise error(f"server rejected command: {name}")
         return frame.data
 
     def select_chip(self, chip: int) -> None:
@@ -96,16 +104,9 @@ class HarnessClient:
         return bits_to_words(wire.decode_data_frames(frames.reshape(depth, -1), width))
 
 
-def collect(
-    endpoint: tuple[str, int],
-    chips: int,
-    cycles: int,
-    out_dir,
-    designs: tuple[DesignEntry, ...] | None = None,
-    params: ProcessParams | None = None,
-    seed: int | None = None,
-    retries: int = 2,
-) -> list[Path]:
+def collect(endpoint: tuple[str, int], chips: int, cycles: int, out_dir,
+            designs: tuple[DesignEntry, ...] | None = None,
+            params: ProcessParams | None = None, seed: int | None = None) -> list[Path]:
     """Dump every (design, chip, cycle) reading from a running server."""
     if chips < 1 or cycles < 1:
         raise ValueError(f"need at least one chip and one cycle, got {chips}/{cycles}")
@@ -114,61 +115,32 @@ def collect(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    server_cycles = []
     client = HarnessClient(endpoint)
     try:
         for chip in range(chips):
-            client.select_chip(chip)
-            for _ in range(cycles):
-                for attempt in range(retries + 1):
+            for cycle in range(cycles):
+                for attempt in range(RETRIES + 1):
                     try:
-                        written.extend(_collect_cycle(client, chip, designs, out))
+                        if attempt:
+                            client.close()
+                            time.sleep(RETRY_PAUSE_S)
+                            client = HarnessClient(endpoint)
+                        if attempt or cycle == 0:
+                            client.select_chip(chip)
+                        index = client.power_on()
+                        words = [client.read_design(select, d.geometry.depth, d.geometry.width)
+                                 for select, d in enumerate(designs)]
+                        client.power_off()
                         break
-                    except ConnectionLost:
-                        if attempt == retries:
+                    except (ConnectionLost, ChipBusy):
+                        if attempt == RETRIES:
                             raise
-                        client.close()
-                        client = HarnessClient(endpoint)
-                        client.select_chip(chip)
+                written.extend(write_cycle(out, chip, cycle, designs, words))
+                if index != cycle:
+                    server_cycles.append((chip, cycle, index))
     finally:
         client.close()
-    total_bits = chips * cycles * sum(d.geometry.cells for d in designs)
-    manifest = [
-        "# collection manifest",
-        f"chips {chips}",
-        f"cycles {cycles}",
-        f"designs {len(designs)}",
-        f"total_bits {total_bits}",
-    ]
-    if seed is not None:
-        manifest.insert(1, f"seed {seed}")
-    (out / MANIFEST_NAME).write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    (out / FLOORPLAN_NAME).write_text(format_config(params, designs), encoding="utf-8")
+    write_manifest(out, chips, cycles, designs, params, seed, server_cycles)
     return written
 
-
-def _collect_cycle(
-    client: HarnessClient,
-    chip: int,
-    designs: tuple[DesignEntry, ...],
-    out: Path,
-) -> list[Path]:
-    cycle = client.power_on()
-    paths = []
-    for select, entry in enumerate(designs):
-        g = entry.geometry
-        words = client.read_design(select, g.depth, g.width)
-        header = DumpHeader(
-            design=entry.name,
-            depth=g.depth,
-            width=g.width,
-            mux=g.mux,
-            orient=entry.orientation.value,
-            speed_class=g.speed_class,
-            chip=chip,
-            cycle=cycle,
-        )
-        path = out / dump_filename(entry.name, chip, cycle)
-        path.write_text(format_dump(header, words), encoding="utf-8")
-        paths.append(path)
-    client.power_off()
-    return paths

@@ -52,8 +52,11 @@ class DumpHeader:
     cycle: int
 
 
-def dump_filename(design: str, chip: int, cycle: int) -> str:
-    return f"{design}_chip{chip:03d}_cycle{cycle:02d}.pufdump"
+def __getattr__(name: str):  # dump_filename lives in dumpdir, with the directory layout
+    if name == "dump_filename":
+        from .dumpdir import dump_filename
+        return dump_filename
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def word_hex_width(w: int) -> int:

@@ -20,10 +20,10 @@ from srampuf.biasdetect import (
     smooth_template,
     strongest_vector,
 )
+from srampuf.chipnet.dumpdir import dump_filename, write_cycle
 from srampuf.chipnet.dumpfile import (
     DumpHeader,
     bits_to_words,
-    dump_filename,
     format_dump,
     parse_dump,
     words_to_bits,
@@ -56,12 +56,8 @@ def write_bank_dumps(dirpath, designs, seed, chips, cycles):
     for chip in chips:
         for cycle in cycles:
             snaps = bank.snapshots(chip, cycle)
-            for d in designs:
-                g = d.geometry
-                header = DumpHeader(d.name, g.depth, g.width, g.mux,
-                                    d.orientation.value, g.speed_class, chip, cycle)
-                path = dirpath / dump_filename(d.name, chip, cycle)
-                path.write_text(format_dump(header, bits_to_words(snaps[d.name].bits)))
+            write_cycle(dirpath, chip, cycle, designs,
+                        [bits_to_words(snaps[d.name].bits) for d in designs])
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +265,24 @@ def test_constant_design_reports_raw_weight(tmp_path):
     assert c.metrics.entropy_min == 0.0
     assert any("C: no reliable bias period" in n for n in run.notes)
     assert any("raw FHW" in n for n in run.notes)
+
+
+def test_constant_template_gives_bd_0_and_a_note(tmp_path):
+    # Smoothing erases the one-phase run of 0(7)1(1), so the template is constant.
+    designs = (entry("A", 256, 32, 4, Orientation.R0, "0(16)1(16)"),
+               entry("C", 256, 48, 4, Orientation.R0, "0(7)1(1)"))
+    write_bank_dumps(tmp_path, designs, 0, chips=[0, 1, 2], cycles=[0, 1, 2])
+    run = analyze_dumps(tmp_path, baseline="A")
+    by_name = {r.name: r for r in run.results}
+    assert by_name["A"].bias.direction == 1
+    c = by_name["C"]
+    assert c.bias.direction == 0
+    assert set(c.bias.template) == {0}
+    assert any(n.startswith("C: ") and "constant" in n for n in run.notes)
+    bits = np.array([read_bits(tmp_path / dump_filename("C", chip, cycle))
+                     for chip in range(3) for cycle in range(3)])
+    per_chip_mhw = mhw(bits, np.zeros(1, dtype=np.uint8)).reshape(3, 3).mean(axis=1)
+    assert (c.metrics.mhw_min, c.metrics.mhw_max) == (per_chip_mhw.min(), per_chip_mhw.max())
 
 
 def test_write_plot_data(small_analysis, tmp_path):

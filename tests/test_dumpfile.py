@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import format_dump_lines, parse_dump_lines
+from srampuf.chipnet import collector, dumpfile
+from srampuf.chipnet.dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, dump_filename
 from srampuf.chipnet.dumpfile import (
     DumpFormatError,
     DumpHeader,
     _parse_fixed_width,
     _parse_lines,
     bits_to_words,
-    dump_filename,
     format_dump,
     parse_dump,
     parse_header,
@@ -32,6 +33,14 @@ HEADER = DumpHeader(
 def test_dump_filename():
     assert dump_filename("P1_a", 7, 3) == "P1_a_chip007_cycle03.pufdump"
     assert dump_filename("P6", 0, 0) == "P6_chip000_cycle00.pufdump"
+
+
+def test_layout_names_stay_reachable_where_the_benchmark_reads_them():
+    assert dumpfile.dump_filename is dump_filename
+    assert (collector.MANIFEST_NAME, collector.FLOORPLAN_NAME) == (MANIFEST_NAME,
+                                                                   FLOORPLAN_NAME)
+    with pytest.raises(AttributeError):
+        dumpfile.no_such_name
 
 
 def test_word_hex_width_rounds_up():

@@ -1,13 +1,17 @@
 """TCP server and collector client, exercised against in-process servers."""
 
+import itertools
 import socket
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import scripted_commands
+from srampuf.analyze import analyze_dumps
+from srampuf.chipnet import collector
 from srampuf.chipnet import protocol as wire
 from srampuf.chipnet.collector import (
     FLOORPLAN_NAME,
@@ -16,9 +20,11 @@ from srampuf.chipnet.collector import (
     HarnessClient,
     collect,
 )
+from srampuf.chipnet.dumpdir import dump_filename
 from srampuf.chipnet.dumpfile import bits_to_words, parse_dump, words_to_bits
 from srampuf.chipnet.server import ChipServer, _Session
-from srampuf.floorplan import DEFAULT_DESIGNS, load_config
+from srampuf.cli import main
+from srampuf.floorplan import DEFAULT_DESIGNS, format_config, load_config
 from srampuf.layout import Geometry, Orientation, PlacedMacro
 from srampuf.metrics import wchd
 from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
@@ -429,3 +435,153 @@ def test_reconstruction_flip_rate_matches_calibration(tmp_path):
             readings.append(words_to_bits(words, header.width).reshape(-1))
         rates.append(wchd(readings[0], readings[1]))
     assert 0.0525 <= np.mean(rates) <= 0.0725
+
+
+# -- a connection lost at each point of a power-up ----------------------------
+
+
+def _lose(client):
+    client.close()
+    raise ConnectionLost("injected drop")
+
+
+def _drop_at_power_on(client):
+    client._send(bytes([wire.OP_POWER_ON]))  # the server powers up; the reply is lost
+    _lose(client)
+
+
+def _drop_mid_read(client, select, depth, width):
+    client._send(wire.read_commands(select, depth))
+    collector._recv_exact(client.sock, wire.FRAME_LEN * (depth // 2))
+    _lose(client)
+
+
+def _drop_between_designs(client, select, depth, width):
+    assert select == 1  # design 0 of this power-up was read in full
+    _lose(client)
+
+
+def _drop_at_power_off(client):
+    client._send(bytes([wire.OP_POWER_OFF]))
+    _lose(client)
+
+
+# point -> (HarnessClient method, the fault, calls per power-up, call within it)
+FAULT_POINTS = {
+    "power-on": ("power_on", _drop_at_power_on, 1, 0),
+    "mid-read": ("read_design", _drop_mid_read, 2, 0),
+    "between-designs": ("read_design", _drop_between_designs, 2, 1),
+    "power-off": ("power_off", _drop_at_power_off, 1, 0),
+}
+CHIPS, CYCLES = 3, 3
+
+
+def inject(monkeypatch, point, power_up, every_later_power_up=False):
+    """Run the fault at the point of one power-up (0-based), or of it and every later one."""
+    method, fault, per_power_up, offset = FAULT_POINTS[point]
+    original, calls = getattr(HarnessClient, method), itertools.count()
+
+    def faulty(self, *args):
+        nth, at = divmod(next(calls), per_power_up)
+        if at == offset and (nth == power_up or every_later_power_up and nth > power_up):
+            return fault(self, *args)
+        return original(self, *args)
+
+    monkeypatch.setattr(HarnessClient, method, faulty)
+
+
+def server_cycles(out):
+    """(chip, cycle) -> server index, from the manifest's server_cycle lines."""
+    lines = (out / MANIFEST_NAME).read_text().splitlines()
+    return {(int(c), int(k)): int(i)
+            for _, c, k, i in (line.split() for line in lines if line.startswith("server_cycle"))}
+
+
+def check_collection(out, chips, cycles, seed):
+    """Whole cycles labelled 0..cycles-1, nothing else, each dump from its server index."""
+    names = {dump_filename(d.name, chip, cycle)
+             for d in SMALL_DESIGNS for chip in range(chips) for cycle in range(cycles)}
+    assert {p.name for p in out.iterdir()} == names | {MANIFEST_NAME, FLOORPLAN_NAME}
+    indices = server_cycles(out)
+    bank = ChipBank(SMALL_DESIGNS, ProcessParams(), seed=seed)
+    for name in names:
+        header, words = parse_dump((out / name).read_bytes())
+        index = indices.get((header.chip, header.cycle), header.cycle)
+        assert np.array_equal(words_to_bits(words, header.width),
+                              bank.snapshots(header.chip, index)[header.design].bits)
+    analyze_dumps(out, baseline="A")
+    return indices
+
+
+@pytest.mark.parametrize("power_up", [0, 4, 8])  # first, middle and last of 3 x 3
+@pytest.mark.parametrize("point", sorted(FAULT_POINTS))
+def test_collect_survives_one_lost_connection(tmp_path, monkeypatch, point, power_up):
+    # Each retry races the server dropping the dead session, which holds the chip.
+    inject(monkeypatch, point, power_up)
+    with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
+        collect(s.endpoint, CHIPS, CYCLES, tmp_path, designs=SMALL_DESIGNS, seed=SEED)
+    chip, cycle = divmod(power_up, CYCLES)
+    # The lost power-up was counted by the server: that chip's later indices move on one.
+    assert check_collection(tmp_path, CHIPS, CYCLES, SEED) == {
+        (chip, k): k + 1 for k in range(cycle, CYCLES)}
+
+
+@pytest.mark.parametrize("chip", [0, 1])
+def test_collect_survives_a_lost_connection_as_it_selects_a_chip(tmp_path, monkeypatch,
+                                                                  chip):
+    original, calls = HarnessClient.select_chip, itertools.count()
+
+    def faulty(self, selected):
+        if next(calls) == chip:
+            self._send(bytes([wire.OP_SELECT_CHIP, selected]))  # the dead session holds it
+            _lose(self)
+        return original(self, selected)
+
+    monkeypatch.setattr(HarnessClient, "select_chip", faulty)
+    with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
+        collect(s.endpoint, CHIPS, CYCLES, tmp_path, designs=SMALL_DESIGNS, seed=SEED)
+    assert check_collection(tmp_path, CHIPS, CYCLES, SEED) == {}
+
+
+def test_a_chip_held_by_another_session_counts_as_a_failed_attempt(tmp_path, monkeypatch):
+    with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
+        holder = raw_session(s)
+        assert command(holder, bytes([wire.OP_SELECT_CHIP, 0])).data == 0
+        pauses = []
+
+        def pause(seconds):  # the holder lets chip 0 go in the last pause
+            pauses.append(seconds)
+            if len(pauses) == collector.RETRIES:
+                assert command(holder, bytes([wire.OP_SELECT_CHIP, 99])).data == 99
+
+        monkeypatch.setattr(collector, "time", SimpleNamespace(sleep=pause))
+        try:
+            collect(s.endpoint, CHIPS, CYCLES, tmp_path, designs=SMALL_DESIGNS, seed=SEED)
+        finally:
+            holder.close()
+    assert pauses == [collector.RETRY_PAUSE_S] * collector.RETRIES
+    assert check_collection(tmp_path, CHIPS, CYCLES, SEED) == {}
+
+
+def test_collect_out_of_retries_exits_1_and_keeps_whole_cycles(tmp_path, monkeypatch,
+                                                                 capsys):
+    config = tmp_path / "small.cfg"
+    config.write_text(format_config(ProcessParams(), SMALL_DESIGNS), encoding="utf-8")
+    out = tmp_path / "dumps"
+    inject(monkeypatch, "between-designs", CYCLES, every_later_power_up=True)  # chip 1
+    rc = main(["collect", "--config", str(config), "--chips", str(CHIPS),
+               "--cycles", str(CYCLES), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: injected drop\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        dump_filename(d.name, 0, cycle) for d in SMALL_DESIGNS for cycle in range(CYCLES))
+
+
+def test_a_second_collect_from_one_server_labels_its_own_cycles(tmp_path):
+    with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
+        for out in (tmp_path / "first", tmp_path / "second"):
+            collect(s.endpoint, 2, 2, out, designs=SMALL_DESIGNS, seed=SEED)
+    assert check_collection(tmp_path / "first", 2, 2, SEED) == {}
+    assert check_collection(tmp_path / "second", 2, 2, SEED) == {
+        (chip, cycle): cycle + 2 for chip in range(2) for cycle in range(2)}
