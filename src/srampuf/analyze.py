@@ -33,7 +33,7 @@ from .biasdetect import (
     strongest_vector,
 )
 from .chipnet.dumpdir import grid, load_bits, read_plan, scan_dump_dir
-from .metrics import MetricsRow, mhw, min_entropy_by_one_probability, wchd
+from .metrics import MetricsRow, fhw, mhw, min_entropy_by_one_probability, wchd
 from .patterns import canonical_cycle, cyclic_notation
 
 # Per-reading bit count of the physical reference harness this workbench
@@ -128,12 +128,12 @@ def analyze_dumps(
             reps = -(-profile.size // canonical.size)
             tiled = np.tile(canonical, reps)[: profile.size].astype(np.float64)
             try:
-                directions[name] = bias_direction(profile, tiled, max_lag=0)
+                directions[name] = bias_direction(profile, tiled)
             except ConstantInput:  # smoothing erased every run but one
                 notes.append(f"{name}: template {bias.notation} is constant; BD column is 0")
             per_chip_mhw = mhw(bits, template).mean(axis=-1).tolist()
         else:
-            per_chip_mhw = [float(np.mean(chip_bits)) for chip_bits in bits]
+            per_chip_mhw = [fhw(chip_bits) for chip_bits in bits]
             notes.append(f"{name}: reporting raw FHW in the MHW column")
 
         mhw_lo, mhw_hi = min(per_chip_mhw), max(per_chip_mhw)

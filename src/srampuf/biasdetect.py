@@ -2,9 +2,12 @@
 
 The pipeline: concatenate readings in readout order, estimate the
 per-position one-probability profile, autocorrelate it, locate the
-dominant period in the autocorrelation spectrum, fold the raw bits at
-that period into a majority template, and correlate profiles to decide
-which way the bias pushes relative to a baseline design.
+dominant period in the autocorrelation spectrum (zero-padded
+``PAD_FACTOR`` times, peak ``SIGNIFICANCE`` times above the in-band
+median), fold the raw bits at that period into a majority template (at
+least ``MIN_SAMPLES`` observations per phase) smoothed by a three-phase
+vote, and take the zero-lag correlation of two profiles to decide which
+way the bias pushes relative to a baseline design.
 """
 
 from __future__ import annotations
@@ -12,6 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Zero-padding of the autocorrelation spectrum, in multiples of its length.
+PAD_FACTOR = 8
+# A period counts when its spectral peak is this many times the in-band median.
+SIGNIFICANCE = 5.0
+# Fewest observations a template phase may be voted from.
+MIN_SAMPLES = 8
 
 
 class ConstantInput(ValueError):
@@ -40,7 +50,7 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-def autocorrelation(v, max_lag: int | None = None) -> np.ndarray:
+def autocorrelation(v) -> np.ndarray:
     """Mean-removed autocorrelation r(0..N/2), normalized so r(0) = 1.
 
     Biased estimator (no per-lag rescaling) computed via FFT; |r| stays
@@ -50,34 +60,25 @@ def autocorrelation(v, max_lag: int | None = None) -> np.ndarray:
     n = x.size
     if n < 4:
         raise InsufficientData(f"vector of {n} values is too short")
-    if max_lag is None:
-        max_lag = n // 2
-    if not 0 < max_lag <= n // 2:
-        raise ValueError(f"max_lag {max_lag} outside (0, {n // 2}]")
     x = x - x.mean()
     nfft = _next_pow2(2 * n)
     spec = np.fft.rfft(x, nfft)
-    acf = np.fft.irfft(spec * np.conj(spec), nfft)[: max_lag + 1]
+    acf = np.fft.irfft(spec * np.conj(spec), nfft)[: n // 2 + 1]
     if acf[0] <= 0:
         raise ConstantInput("input has zero variance")
     return acf / acf[0]
 
 
-def dominant_period(
-    r,
-    n: int,
-    pad_factor: int = 8,
-    significance: float = 5.0,
-) -> int:
+def dominant_period(r, n: int) -> int:
     """Period of the strongest repeating component of an autocorrelation.
 
     ``r`` comes from :func:`autocorrelation`; ``n`` is the original vector
     length, bounding the admissible periods to [2, n/2].  The peak of the
-    zero-padded magnitude spectrum of r must stand ``significance`` times
-    above the in-band median; the (generally fractional) spectral period
-    then snaps to the nearby integer whose multiples carry the highest
-    mean autocorrelation, which is exact for periods that do not divide
-    the transform length.
+    magnitude spectrum of r, zero-padded ``PAD_FACTOR`` times, must stand
+    ``SIGNIFICANCE`` times above the in-band median; the (generally
+    fractional) spectral period then snaps to the nearby integer whose
+    multiples carry the highest mean autocorrelation, which is exact for
+    periods that do not divide the transform length.
     """
     r = np.asarray(r, dtype=np.float64).ravel()
     if r.size < 8:
@@ -86,7 +87,7 @@ def dominant_period(
     max_period = min(n // 2, r.size - 1)
     if max_period < min_period:
         raise InsufficientData(f"no admissible periods for n={n}")
-    nfft = _next_pow2(pad_factor * r.size)
+    nfft = _next_pow2(PAD_FACTOR * r.size)
     spec = np.abs(np.fft.rfft(r - r.mean(), nfft))
     k_lo = max(1, -(-nfft // max_period))
     k_hi = min(spec.size - 1, nfft // min_period)
@@ -95,10 +96,10 @@ def dominant_period(
     band = spec[k_lo : k_hi + 1]
     k_star = k_lo + int(np.argmax(band))
     floor = float(np.median(band))
-    if spec[k_star] <= 0 or spec[k_star] < significance * floor:
+    if spec[k_star] <= 0 or spec[k_star] < SIGNIFICANCE * floor:
         raise NoPeriodicity(
             f"spectral peak {spec[k_star]:.3g} below "
-            f"{significance} x median {floor:.3g}"
+            f"{SIGNIFICANCE} x median {floor:.3g}"
         )
     p0 = nfft / k_star
     best_p, best_score = 0, -np.inf
@@ -113,62 +114,51 @@ def dominant_period(
     return best_p
 
 
-def extract_template(vectors, period: int, min_samples: int = 8) -> np.ndarray:
+def extract_template(vectors, period: int) -> np.ndarray:
     """Fold bit vectors at a period and take the per-phase majority.
 
-    ``vectors`` is a 2-d matrix with one vector per row, or an iterable of
-    1-d bit arrays (lengths may differ); each vector is folded from its own
-    position zero, so a matrix folds its column sums in one pass.  Ties
-    resolve to 0.  Raises InsufficientData when any phase collects fewer
-    than ``min_samples`` observations in total.
+    ``vectors`` is a 2-d matrix with one vector per row (a 1-d vector is
+    one row); every row folds from position zero, so the column sums fold
+    in one pass.  Ties resolve to 0.  Raises InsufficientData when any
+    phase collects fewer than ``MIN_SAMPLES`` observations in total.
     """
     if period < 1:
         raise ValueError(f"period must be positive, got {period}")
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        matrices = [vectors] if vectors.shape[0] else []
-    else:
-        matrices = [np.asarray(v).reshape(1, -1) for v in vectors]
-    if not matrices:
-        raise InsufficientData("no vectors given")
-    ones = np.zeros(period, dtype=np.int64)
-    total = np.zeros(period, dtype=np.int64)
-    for mat in matrices:
-        phases = np.arange(mat.shape[1]) % period
-        column_ones = mat.sum(axis=0, dtype=np.int64)
-        ones += np.bincount(phases, weights=column_ones, minlength=period).astype(np.int64)
-        total += mat.shape[0] * np.bincount(phases, minlength=period)
-    if total.min() < min_samples:
+    mat = np.atleast_2d(np.asarray(vectors))
+    if mat.ndim != 2:
+        raise ValueError(f"expected one vector or a 2-d matrix, got shape {mat.shape}")
+    phases = np.arange(mat.shape[1]) % period
+    column_ones = mat.sum(axis=0, dtype=np.int64)
+    ones = np.bincount(phases, weights=column_ones, minlength=period)
+    total = mat.shape[0] * np.bincount(phases, minlength=period)
+    if total.min() < MIN_SAMPLES:
         raise InsufficientData(
             f"only {int(total.min())} samples in the thinnest of {period} phases"
         )
     return (2 * ones > total).astype(np.uint8)
 
 
-def smooth_template(template, window: int = 3) -> np.ndarray:
-    """Cyclic majority vote over a small window, to drop one-phase glitches.
+def smooth_template(template) -> np.ndarray:
+    """Cyclic three-phase majority vote, to drop one-phase glitches.
 
     Useful when the imprint amplitude sits near the detection floor and the
     per-phase majority occasionally lands on the wrong side; any real run
-    of at least ``window`` phases survives unchanged.
+    of at least three phases survives unchanged.
     """
     t = np.asarray(template).astype(np.int64).ravel()
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and positive, got {window}")
-    if t.size <= window:
+    if t.size <= 3:
         return t.astype(np.uint8)
-    half = window // 2
-    votes = sum(np.roll(t, k) for k in range(-half, half + 1))
-    return (2 * votes > window).astype(np.uint8)
+    votes = np.roll(t, -1) + t + np.roll(t, 1)
+    return (votes > 1).astype(np.uint8)
 
 
-def bias_direction(profile, baseline, max_lag: int = 256) -> int:
-    """Sign of the strongest cross-correlation between two bias profiles.
+def bias_direction(profile, baseline) -> int:
+    """Sign of the zero-lag correlation between two bias profiles.
 
-    Both series are truncated to the shorter length and mean-removed; the
-    normalized cross-correlation is scanned over lags up to ``max_lag`` in
-    either direction and the largest magnitude wins (ties go to the lag
-    closest to zero).  Returns +1 or -1, or 0 when the best value stays
-    below the significance threshold min(0.5, 4.5/sqrt(L)).
+    Both series are truncated to the shorter length and mean-removed; their
+    normalized correlation at zero lag, ``x @ y / norm``, gives +1 or -1,
+    or 0 when its magnitude stays below the significance threshold
+    min(0.5, 4.5/sqrt(L)).
     """
     x = np.asarray(profile, dtype=np.float64).ravel()
     y = np.asarray(baseline, dtype=np.float64).ravel()
@@ -180,16 +170,10 @@ def bias_direction(profile, baseline, max_lag: int = 256) -> int:
     norm = np.sqrt(float(x @ x) * float(y @ y))
     if norm == 0:
         raise ConstantInput("a profile has zero variance")
-    max_lag = min(max_lag, n - 1)
-    nfft = _next_pow2(2 * n)
-    cc = np.fft.irfft(np.fft.rfft(x, nfft) * np.conj(np.fft.rfft(y, nfft)), nfft)
-    lags = np.arange(-max_lag, max_lag + 1)
-    corr = cc[lags % nfft] / norm
-    best = np.lexsort((np.abs(lags), -np.abs(corr)))[0]
-    threshold = min(0.5, 4.5 / np.sqrt(n))
-    if abs(corr[best]) < threshold:
+    corr = float(x @ y) / norm
+    if abs(corr) < min(0.5, 4.5 / np.sqrt(n)):
         return 0
-    return 1 if corr[best] > 0 else -1
+    return 1 if corr > 0 else -1
 
 
 def strongest_vector(rows) -> int:

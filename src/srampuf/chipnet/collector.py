@@ -4,7 +4,8 @@ Each design is read with one write of all its read commands; the server
 answers strictly in order, so the frames are consumed as one block per
 design.  A power-up's dumps are written once all its designs are read, under
 the collector's own cycle count, so a power-up retried after a lost
-connection rewrites the same names.
+connection rewrites the same names.  ``manifest.txt`` and ``floorplan.cfg``
+are written before the first power-up.
 """
 
 from __future__ import annotations
@@ -114,6 +115,9 @@ def collect(endpoint: tuple[str, int], chips: int, cycles: int, out_dir,
     params = params if params is not None else ProcessParams()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # The plan goes down first, so a collect cut short still leaves its
+    # seed and floorplan beside the whole cycles it wrote.
+    write_manifest(out, chips, cycles, designs, params, seed, ())
     written: list[Path] = []
     server_cycles = []
     client = HarnessClient(endpoint)
@@ -141,6 +145,7 @@ def collect(endpoint: tuple[str, int], chips: int, cycles: int, out_dir,
                     server_cycles.append((chip, cycle, index))
     finally:
         client.close()
-    write_manifest(out, chips, cycles, designs, params, seed, server_cycles)
+        if server_cycles:
+            write_manifest(out, chips, cycles, designs, params, seed, server_cycles)
     return written
 

@@ -107,8 +107,6 @@ class Snapshot:
     """Power-up state of one device: a depth x width bit matrix."""
 
     bits: np.ndarray
-    chip_id: int
-    cycle: int
 
     def readout(self) -> np.ndarray:
         """Bits concatenated in serial readout order (addr-major)."""
@@ -126,14 +124,7 @@ def sample_device(entry: DesignEntry, params: ProcessParams, chip_seed: int) -> 
     return DeviceArray(design=entry, mismatch=mismatch, imprint=imprint)
 
 
-def power_up(
-    dev: DeviceArray,
-    params: ProcessParams,
-    cycle_seed: int,
-    *,
-    chip_id: int = 0,
-    cycle: int = 0,
-) -> Snapshot:
+def power_up(dev: DeviceArray, params: ProcessParams, cycle_seed: int) -> Snapshot:
     """One noisy power-up of a device; noiseless when sigma_noise is zero."""
     g = dev.design.geometry
     latent = dev.mismatch.reshape(-1) + dev.imprint
@@ -141,7 +132,7 @@ def power_up(
         rng = np.random.default_rng(derive_seed(cycle_seed, "noise", dev.design.name))
         latent = latent + rng.standard_normal(g.cells) * params.sigma_noise
     bits = (latent > 0).astype(np.uint8).reshape(g.depth, g.width)
-    return Snapshot(bits=bits, chip_id=chip_id, cycle=cycle)
+    return Snapshot(bits=bits)
 
 
 class ChipBank:
@@ -183,6 +174,6 @@ class ChipBank:
             raise ValueError(f"chip and cycle must be non-negative, got {chip}/{cycle}")
         cycle_seed = derive_seed(self.seed, "cycle", chip, cycle)
         return {
-            name: power_up(dev, self.params, cycle_seed, chip_id=chip, cycle=cycle)
+            name: power_up(dev, self.params, cycle_seed)
             for name, dev in self.devices(chip).items()
         }

@@ -83,14 +83,6 @@ def test_autocorrelation_input_validation():
         autocorrelation([0, 1, 0])
     with pytest.raises(ConstantInput):
         autocorrelation(np.ones(64))
-    v = np.random.default_rng(0).integers(0, 2, size=64)
-    with pytest.raises(ValueError):
-        autocorrelation(v, max_lag=0)
-    with pytest.raises(ValueError):
-        autocorrelation(v, max_lag=33)
-    short = autocorrelation(v, max_lag=10)
-    assert short.size == 11
-    assert np.allclose(short, autocorrelation(v)[:11])
 
 
 def test_dominant_period_on_clean_square_waves():
@@ -148,11 +140,12 @@ def test_extract_template_all_zero_inputs():
     assert not got.any()
 
 
-def test_extract_template_handles_ragged_lengths():
+def test_extract_template_takes_one_vector_or_a_matrix():
     rng = np.random.default_rng(55)
-    vectors = [rng.integers(0, 2, size=n).astype(np.uint8) for n in (37, 64, 129, 200)]
-    got = extract_template(vectors, 7)
-    assert np.array_equal(got, majority_template(vectors, 7))
+    v = rng.integers(0, 2, size=200).astype(np.uint8)
+    assert np.array_equal(extract_template(v, 7), majority_template([v], 7))
+    rows = rng.integers(0, 2, size=(4, 129)).astype(np.uint8)
+    assert np.array_equal(extract_template(rows, 7), majority_template(rows, 7))
 
 
 def test_extract_template_input_validation():
@@ -161,7 +154,11 @@ def test_extract_template_input_validation():
     with pytest.raises(InsufficientData):
         extract_template([], 8)
     with pytest.raises(InsufficientData):
+        extract_template(np.zeros((0, 64), dtype=np.uint8), 8)
+    with pytest.raises(InsufficientData):
         extract_template([np.zeros(100, dtype=np.uint8)], 32)  # 3-4 samples per phase
+    with pytest.raises(ValueError):
+        extract_template(np.zeros((2, 4, 64), dtype=np.uint8), 8)
 
 
 def test_smooth_template_drops_single_phase_glitches():
@@ -174,13 +171,9 @@ def test_smooth_template_drops_single_phase_glitches():
     assert np.array_equal(smooth_template(runs), runs)
 
 
-def test_smooth_template_window_validation():
-    with pytest.raises(ValueError):
-        smooth_template([0, 1, 0, 1], window=2)
-    with pytest.raises(ValueError):
-        smooth_template([0, 1, 0, 1], window=-3)
-    tiny = np.array([1, 0], dtype=np.uint8)
-    assert np.array_equal(smooth_template(tiny, window=3), tiny)
+def test_smooth_template_leaves_templates_of_three_phases_or_fewer():
+    for tiny in ([1, 0], [0, 1, 0]):
+        assert np.array_equal(smooth_template(tiny), tiny)
 
 
 def test_bias_direction_sign_conventions():
@@ -194,7 +187,8 @@ def test_bias_direction_sign_conventions():
 def test_bias_direction_zero_lag_only():
     rng = np.random.default_rng(424242)
     x = square_wave(32, 4096) + rng.normal(0, 0.05, 4096)
-    assert bias_direction(x, 1 - x, max_lag=0) == -1
+    # half a period off is anti-correlated at zero lag, in phase at lag 16
+    assert bias_direction(np.roll(x, 16), x) == -1
 
 
 def test_bias_direction_returns_zero_for_unrelated_noise():

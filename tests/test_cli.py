@@ -8,13 +8,17 @@ import time
 import pytest
 
 from oracles import parse_rendered_table
-from srampuf.chipnet.collector import HarnessClient
-from srampuf.chipnet.dumpfile import bits_to_words
+from srampuf import cli
+from srampuf.analyze import MissingBaseline
+from srampuf.biasdetect import InsufficientData
+from srampuf.chipnet.collector import ChipBusy, ConnectionLost, HarnessClient
+from srampuf.chipnet.dumpfile import DumpFormatError, bits_to_words
+from srampuf.chipnet.protocol import ProtocolError
 from srampuf.chipnet.server import ChipServer
 from srampuf.cli import main
-from srampuf.floorplan import DEFAULT_DESIGNS, format_config, load_config
+from srampuf.floorplan import DEFAULT_DESIGNS, ConfigError, format_config, load_config
 from srampuf.layout import Geometry, Orientation, PlacedMacro
-from srampuf.report import load_report
+from srampuf.report import ReportParseError, load_report
 from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
 
 # beta is cranked up so a 2-chip, 2-cycle run already resolves both
@@ -143,6 +147,14 @@ def test_analyze_fails_cleanly_on_an_empty_directory(tmp_path, capsys):
 def test_report_fails_cleanly_on_a_missing_file(tmp_path, capsys):
     assert main(["report", str(tmp_path / "absent.json")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("error", [
+    ConfigError, ConnectionLost, ChipBusy, InsufficientData, MissingBaseline,
+    ProtocolError, ReportParseError, DumpFormatError,
+])
+def test_every_pipeline_error_is_a_reported_failure(error):
+    assert issubclass(error, cli._FAILURES)
 
 
 def test_serve_runs_as_a_subprocess(tmp_path, small_cfg):

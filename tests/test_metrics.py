@@ -1,5 +1,9 @@
 """Hamming-style metrics, min-entropy, and the noise calibration loop."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -180,6 +184,14 @@ def test_calibrated_sigma_hits_the_target_band():
             got = bank.snapshots(chip, cycle)["probe"].readout()
             dists.append(np.mean(ref != got))
     assert 0.055 <= np.mean(dists) <= 0.075
+
+
+def test_calibrate_noise_script_reproduces_the_default_sigma():
+    script = Path(__file__).parents[1] / "scripts" / "calibrate_noise.py"
+    proc = subprocess.run([sys.executable, str(script), "--targets", "0.065"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split() == ["0.065", "0.140625", "0.0628"]
 
 
 def test_calibration_is_monotone_in_the_target():

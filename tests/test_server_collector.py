@@ -20,7 +20,7 @@ from srampuf.chipnet.collector import (
     HarnessClient,
     collect,
 )
-from srampuf.chipnet.dumpdir import dump_filename
+from srampuf.chipnet.dumpdir import dump_filename, read_plan
 from srampuf.chipnet.dumpfile import bits_to_words, parse_dump, words_to_bits
 from srampuf.chipnet.server import ChipServer, _Session
 from srampuf.cli import main
@@ -575,7 +575,9 @@ def test_collect_out_of_retries_exits_1_and_keeps_whole_cycles(tmp_path, monkeyp
     assert rc == 1
     assert err == "error: injected drop\n"
     assert sorted(p.name for p in out.iterdir()) == sorted(
-        dump_filename(d.name, 0, cycle) for d in SMALL_DESIGNS for cycle in range(CYCLES))
+        [dump_filename(d.name, 0, cycle) for d in SMALL_DESIGNS for cycle in range(CYCLES)]
+        + [MANIFEST_NAME, FLOORPLAN_NAME])
+    assert read_plan(out) == (ProcessParams(), 0)
 
 
 def test_a_second_collect_from_one_server_labels_its_own_cycles(tmp_path):

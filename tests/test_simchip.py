@@ -171,9 +171,9 @@ def test_default_reconstruction_distance_band():
 
 
 def test_readout_is_address_major():
-    snap = Snapshot(bits=np.array([[0, 1], [1, 0]], dtype=np.uint8), chip_id=0, cycle=0)
+    snap = Snapshot(bits=np.array([[0, 1], [1, 0]], dtype=np.uint8))
     assert np.array_equal(snap.readout(), [0, 1, 1, 0])
-    ones = Snapshot(bits=np.ones((3, 4), dtype=np.uint8), chip_id=0, cycle=0)
+    ones = Snapshot(bits=np.ones((3, 4), dtype=np.uint8))
     assert ones.readout().all() and ones.readout().size == 12
 
 
