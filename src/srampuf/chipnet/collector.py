@@ -1,9 +1,23 @@
 """Collector client: power-cycles every chip and writes dump files.
 
-Each design is read with one write of all its read commands; the server
-answers strictly in order, so the frames are consumed as one block per
-design.  A power-up's dumps are written once all its designs are read, under
-the collector's own cycle count, so a power-up retried after a lost
+Each power-up is one write: OP_POWER_ON, every read of every design, then
+OP_POWER_OFF.  The server answers strictly in order, so the whole reply is
+read as one block of frames.  Once a block is in and the chip has another
+cycle to go, the next power-up's request goes out before this block is
+decoded and written, so the server simulates cycle k+1 while the client
+decodes and writes cycle k.  The prefetch has two limits:
+
+- none across chips: a ``select_chip`` answered "busy" leaves the session on
+  its previous chip, so a power-on queued behind it would power that chip up
+  again.  Each chip's select is its own round trip.
+- at most one request in flight: a request goes out only after the previous
+  reply has been read in full.  The largest request the wire allows,
+  2 + 11 x 2,048 x 3 = 67,586 bytes, fits Linux's 128 KB default loopback
+  receive buffer, so the client's write never waits on frames it has not
+  read.
+
+A power-up's dumps are written once its whole reply is read, under the
+collector's own cycle count, so a power-up retried after a lost
 connection rewrites the same names.  ``manifest.txt`` and ``floorplan.cfg``
 are written before the first power-up.
 """
@@ -75,16 +89,11 @@ class HarnessClient:
 
     def _control(self, payload: bytes) -> int:
         self._send(payload)
-        frame = wire.decode_response(_recv_exact(self.sock, wire.FRAME_LEN))
-        if frame.is_error:
-            name = wire.ERROR_NAMES.get(frame.data, f"code {frame.data}")
-            error = ChipBusy if frame.data == wire.ERR_CHIP_BUSY else wire.ProtocolError
-            raise error(f"server rejected command: {name}")
-        return frame.data
+        return _acknowledged(_recv_exact(self.sock, wire.FRAME_LEN))
 
     def select_chip(self, chip: int) -> None:
-        if not 0 <= chip <= 0xFF:
-            raise ValueError(f"chip id {chip} outside [0, 255]")
+        if not 0 <= chip <= wire.MAX_CHIP:
+            raise ValueError(f"chip id {chip} outside [0, {wire.MAX_CHIP}]")
         echoed = self._control(bytes([wire.OP_SELECT_CHIP, chip]))
         if echoed != chip:
             raise wire.ProtocolError(f"select echoed {echoed}, expected {chip}")
@@ -97,20 +106,67 @@ class HarnessClient:
         self._control(bytes([wire.OP_POWER_OFF]))
 
     def read_design(self, select: int, depth: int, width: int) -> np.ndarray:
-        """All words of one design as uint64, from one write of all its reads.
-
-        At most 6 KB of commands: the write never waits on unread frames."""
+        """All words of one design as uint64, from one write of all its reads."""
         self._send(wire.read_commands(select, depth))
-        frames = np.frombuffer(_recv_exact(self.sock, wire.FRAME_LEN * depth), np.uint8)
-        return bits_to_words(wire.decode_data_frames(frames.reshape(depth, -1), width))
+        return _words(_recv_exact(self.sock, wire.FRAME_LEN * depth), width)
+
+    def send_power_up(self, request: bytes) -> None:
+        """Send a ``protocol.power_up_request``; ``receive_power_up`` takes its reply."""
+        self._send(request)
+
+    def receive_power_up(self, reads: int) -> tuple[int, memoryview]:
+        """Server cycle index and data frames of a power-up of ``reads`` reads.
+
+        The power-on and power-off acknowledgements are checked here; the
+        data frames are left for ``decode_power_up``.
+        """
+        reply = memoryview(_recv_exact(self.sock, wire.FRAME_LEN * (reads + 2)))
+        index = _acknowledged(reply[: wire.FRAME_LEN])
+        _acknowledged(reply[-wire.FRAME_LEN :])
+        return index, reply[wire.FRAME_LEN : -wire.FRAME_LEN]
+
+
+def _acknowledged(frame: bytes) -> int:
+    """Data field of a control frame; an error frame raises, ChipBusy for a held chip."""
+    reply = wire.decode_response(frame)
+    if reply.is_error:
+        name = wire.ERROR_NAMES.get(reply.data, f"code {reply.data}")
+        error = ChipBusy if reply.data == wire.ERR_CHIP_BUSY else wire.ProtocolError
+        raise error(f"server rejected command: {name}")
+    return reply.data
+
+
+def _words(frames, width: int) -> np.ndarray:
+    """Word values of a block of data frames, 9 bytes each."""
+    rows = np.frombuffer(frames, np.uint8).reshape(-1, wire.FRAME_LEN)
+    return bits_to_words(wire.decode_data_frames(rows, width))
+
+
+def decode_power_up(frames, designs: tuple[DesignEntry, ...]) -> list[np.ndarray]:
+    """Each design's words from the data frames of one power-up, in select order."""
+    words, start = [], 0
+    for d in designs:
+        end = start + wire.FRAME_LEN * d.geometry.depth
+        words.append(_words(frames[start:end], d.geometry.width))
+        start = end
+    return words
 
 
 def collect(endpoint: tuple[str, int], chips: int, cycles: int, out_dir,
             designs: tuple[DesignEntry, ...] | None = None,
             params: ProcessParams | None = None, seed: int | None = None) -> list[Path]:
-    """Dump every (design, chip, cycle) reading from a running server."""
+    """Dump every (design, chip, cycle) reading from a running server.
+
+    Each power-up is one request and one block of reply frames.  The next
+    power-up of the same chip is requested before this one's frames are
+    decoded and written; see the module docstring for the two limits.  A
+    power-up whose reply is cut off is retried on a new connection.
+    """
     if chips < 1 or cycles < 1:
         raise ValueError(f"need at least one chip and one cycle, got {chips}/{cycles}")
+    if chips > wire.MAX_CHIP + 1:
+        raise ValueError(f"chip ids are one byte, so at most {wire.MAX_CHIP + 1} chips, "
+                         f"got {chips}")
     designs = designs if designs is not None else DEFAULT_DESIGNS
     params = params if params is not None else ProcessParams()
     out = Path(out_dir)
@@ -118,8 +174,11 @@ def collect(endpoint: tuple[str, int], chips: int, cycles: int, out_dir,
     # The plan goes down first, so a collect cut short still leaves its
     # seed and floorplan beside the whole cycles it wrote.
     write_manifest(out, chips, cycles, designs, params, seed, ())
+    depths = [d.geometry.depth for d in designs]
+    request, reads = wire.power_up_request(depths), sum(depths)
     written: list[Path] = []
     server_cycles = []
+    sent = False  # this power-up's request went out while the last one was decoded
     client = HarnessClient(endpoint)
     try:
         for chip in range(chips):
@@ -132,14 +191,20 @@ def collect(endpoint: tuple[str, int], chips: int, cycles: int, out_dir,
                             client = HarnessClient(endpoint)
                         if attempt or cycle == 0:
                             client.select_chip(chip)
-                        index = client.power_on()
-                        words = [client.read_design(select, d.geometry.depth, d.geometry.width)
-                                 for select, d in enumerate(designs)]
-                        client.power_off()
+                        if attempt or not sent:
+                            client.send_power_up(request)
+                        index, frames = client.receive_power_up(reads)
                         break
                     except (ConnectionLost, ChipBusy):
                         if attempt == RETRIES:
                             raise
+                sent = cycle + 1 < cycles
+                if sent:
+                    try:
+                        client.send_power_up(request)
+                    except ConnectionLost:  # the next power-up's receive fails and retries
+                        pass
+                words = decode_power_up(frames, designs)
                 written.extend(write_cycle(out, chip, cycle, designs, words))
                 if index != cycle:
                     server_cycles.append((chip, cycle, index))
@@ -148,4 +213,3 @@ def collect(endpoint: tuple[str, int], chips: int, cycles: int, out_dir,
         if server_cycles:
             write_manifest(out, chips, cycles, designs, params, seed, server_cycles)
     return written
-

@@ -46,6 +46,7 @@ START_DATA = 0b101
 START_ERROR = 0b000
 STOP_BITS = 0b010
 
+MAX_CHIP = 0xFF  # chip ids are one byte
 MAX_SELECT = 10
 MAX_ADDRESS = 2047
 
@@ -110,6 +111,17 @@ def read_commands(select: int, depth: int) -> bytes:
     commands["op"] = OP_READ
     commands["request"] = (select << 11) | np.arange(depth)
     return commands.tobytes()
+
+
+def power_up_request(depths) -> bytes:
+    """One power-up as one blob: OP_POWER_ON, every address of each design, OP_POWER_OFF.
+
+    ``depths[s]`` is the depth of the design at select s.  The reply is
+    ``sum(depths) + 2`` frames: the power-on acknowledgement (the cycle
+    index), the data frames in request order and the power-off one.
+    """
+    reads = [read_commands(select, depth) for select, depth in enumerate(depths)]
+    return b"".join([bytes([OP_POWER_ON]), *reads, bytes([OP_POWER_OFF])])
 
 
 def decode_requests(requests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -130,9 +130,10 @@ def power_up(dev: DeviceArray, params: ProcessParams, cycle_seed: int) -> Snapsh
     latent = dev.mismatch.reshape(-1) + dev.imprint
     if params.sigma_noise > 0:
         rng = np.random.default_rng(derive_seed(cycle_seed, "noise", dev.design.name))
-        latent = latent + rng.standard_normal(g.cells) * params.sigma_noise
-    bits = (latent > 0).astype(np.uint8).reshape(g.depth, g.width)
-    return Snapshot(bits=bits)
+        noise = rng.standard_normal(g.cells)
+        noise *= params.sigma_noise
+        latent += noise
+    return Snapshot(bits=np.greater(latent, 0).view(np.uint8).reshape(g.depth, g.width))
 
 
 class ChipBank:

@@ -138,6 +138,16 @@ def test_collect_reports_a_dead_endpoint(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_collect_rejects_more_chips_than_ids_before_writing(tmp_path, small_cfg, capsys):
+    out = tmp_path / "d"
+    rc = main(["collect", "--config", str(small_cfg), "--chips", "257", "--cycles", "1",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "256" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_analyze_fails_cleanly_on_an_empty_directory(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path), "--out", str(tmp_path / "r.json")])
     assert rc == 1

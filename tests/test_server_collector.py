@@ -445,49 +445,56 @@ def _lose(client):
     raise ConnectionLost("injected drop")
 
 
-def _drop_at_power_on(client):
-    client._send(bytes([wire.OP_POWER_ON]))  # the server powers up; the reply is lost
+def _cut_reply(reply_bytes):
+    """A receive_power_up that reads ``reply_bytes(reads)`` bytes, then loses the connection."""
+    def fault(client, reads):
+        collector._recv_exact(client.sock, reply_bytes(reads))
+        _lose(client)
+
+    return fault
+
+
+def _drop_after_sending(client, request):
+    client._send(request)  # the server powers up; the connection closes before the reply
     _lose(client)
 
 
-def _drop_mid_read(client, select, depth, width):
-    client._send(wire.read_commands(select, depth))
-    collector._recv_exact(client.sock, wire.FRAME_LEN * (depth // 2))
-    _lose(client)
+DEPTH_0 = SMALL_DESIGNS[0].geometry.depth
 
-
-def _drop_between_designs(client, select, depth, width):
-    assert select == 1  # design 0 of this power-up was read in full
-    _lose(client)
-
-
-def _drop_at_power_off(client):
-    client._send(bytes([wire.OP_POWER_OFF]))
-    _lose(client)
-
-
-# point -> (HarnessClient method, the fault, calls per power-up, call within it)
+# point -> (HarnessClient method, the fault, the power-up it loses relative to the
+# faulty one).  A power-up's reply is a power-on frame, the data frames of each
+# design in turn and a power-off frame; every byte of the request went out.
 FAULT_POINTS = {
-    "power-on": ("power_on", _drop_at_power_on, 1, 0),
-    "mid-read": ("read_design", _drop_mid_read, 2, 0),
-    "between-designs": ("read_design", _drop_between_designs, 2, 1),
-    "power-off": ("power_off", _drop_at_power_off, 1, 0),
+    "power-on": ("receive_power_up", _cut_reply(lambda reads: 0), 0),
+    "mid-read": ("receive_power_up",
+                 _cut_reply(lambda reads: wire.FRAME_LEN * (1 + DEPTH_0 // 2)), 0),
+    "between-designs": ("receive_power_up",
+                        _cut_reply(lambda reads: wire.FRAME_LEN * (1 + DEPTH_0)), 0),
+    "power-off": ("receive_power_up",
+                  _cut_reply(lambda reads: wire.FRAME_LEN * (reads + 1)), 0),
+    # The request of the next power-up, sent before this one's dumps are written.
+    "after-prefetch": ("send_power_up", _drop_after_sending, 1),
 }
 CHIPS, CYCLES = 3, 3
 
 
 def inject(monkeypatch, point, power_up, every_later_power_up=False):
-    """Run the fault at the point of one power-up (0-based), or of it and every later one."""
-    method, fault, per_power_up, offset = FAULT_POINTS[point]
-    original, calls = getattr(HarnessClient, method), itertools.count()
+    """Run the fault at the point of one power-up (0-based), or of it and every later one.
+
+    Returns the power-ups the fault ran at, as they are seen.
+    """
+    method, fault, lost = FAULT_POINTS[point]
+    original, calls, fired = getattr(HarnessClient, method), itertools.count(), []
 
     def faulty(self, *args):
-        nth, at = divmod(next(calls), per_power_up)
-        if at == offset and (nth == power_up or every_later_power_up and nth > power_up):
+        nth = next(calls) - lost  # a request is sent during the power-up before its own
+        if nth == power_up or every_later_power_up and nth > power_up:
+            fired.append(nth)
             return fault(self, *args)
         return original(self, *args)
 
     monkeypatch.setattr(HarnessClient, method, faulty)
+    return fired
 
 
 def server_cycles(out):
@@ -513,17 +520,22 @@ def check_collection(out, chips, cycles, seed):
     return indices
 
 
-@pytest.mark.parametrize("power_up", [0, 4, 8])  # first, middle and last of 3 x 3
-@pytest.mark.parametrize("point", sorted(FAULT_POINTS))
+@pytest.mark.parametrize("point,power_up", [
+    *((point, power_up) for point in sorted(FAULT_POINTS) if point != "after-prefetch"
+      for power_up in (0, 4, 8)),  # first, middle and last of 3 x 3
+    *(("after-prefetch", power_up) for power_up in (0, 4, 7)),  # 8 has no next power-up
+])
 def test_collect_survives_one_lost_connection(tmp_path, monkeypatch, point, power_up):
     # Each retry races the server dropping the dead session, which holds the chip.
-    inject(monkeypatch, point, power_up)
+    fired = inject(monkeypatch, point, power_up)
     with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
         collect(s.endpoint, CHIPS, CYCLES, tmp_path, designs=SMALL_DESIGNS, seed=SEED)
+    assert fired == [power_up]
     chip, cycle = divmod(power_up, CYCLES)
+    lost = cycle + FAULT_POINTS[point][2]
     # The lost power-up was counted by the server: that chip's later indices move on one.
     assert check_collection(tmp_path, CHIPS, CYCLES, SEED) == {
-        (chip, k): k + 1 for k in range(cycle, CYCLES)}
+        (chip, k): k + 1 for k in range(lost, CYCLES)}
 
 
 @pytest.mark.parametrize("chip", [0, 1])
@@ -587,3 +599,29 @@ def test_a_second_collect_from_one_server_labels_its_own_cycles(tmp_path):
     assert check_collection(tmp_path / "first", 2, 2, SEED) == {}
     assert check_collection(tmp_path / "second", 2, 2, SEED) == {
         (chip, cycle): cycle + 2 for chip in range(2) for cycle in range(2)}
+
+
+def test_collect_at_the_wire_limits(tmp_path):
+    # The largest power-up the wire carries: a 67,586-byte request, 202,770 bytes of reply.
+    designs = tuple(entry(f"L{select}", wire.MAX_ADDRESS + 1, 64, 4, Orientation.R0,
+                          "0(8)1(8)", origin=(100 * select, 0))
+                    for select in range(wire.MAX_SELECT + 1))
+    assert len(wire.power_up_request([d.geometry.depth for d in designs])) == 67_586
+    outcome = []
+
+    def run():
+        with ChipServer(designs, ProcessParams(), seed=SEED) as s:
+            outcome.append(collect(s.endpoint, 2, 3, tmp_path, designs=designs, seed=SEED))
+
+    thread = threading.Thread(target=run, daemon=True)  # no pytest-timeout here
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive(), "collect at the wire limits did not finish in 30 s"
+    [files] = outcome
+    assert len(files) == len(designs) * 2 * 3
+    bank = ChipBank(designs, ProcessParams(), seed=SEED)
+    for chip, cycle in itertools.product(range(2), range(3)):
+        snaps = bank.snapshots(chip, cycle)
+        for d in designs:
+            _, words = parse_dump((tmp_path / dump_filename(d.name, chip, cycle)).read_bytes())
+            assert np.array_equal(words_to_bits(words, 64), snaps[d.name].bits)
