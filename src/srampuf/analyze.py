@@ -33,7 +33,7 @@ from .biasdetect import (
     strongest_vector,
 )
 from .chipnet.dumpdir import grid, load_bits, read_plan, scan_dump_dir
-from .metrics import MetricsRow, fhw, mhw, min_entropy_by_one_probability, wchd
+from .metrics import MetricsRow, entropy_range, fhw, mhw, wchd
 from .patterns import canonical_cycle, cyclic_notation
 
 # Per-reading bit count of the physical reference harness this workbench
@@ -137,16 +137,15 @@ def analyze_dumps(
             notes.append(f"{name}: reporting raw FHW in the MHW column")
 
         mhw_lo, mhw_hi = min(per_chip_mhw), max(per_chip_mhw)
-        far, near = ((mhw_lo, mhw_hi) if abs(mhw_lo - 0.5) >= abs(mhw_hi - 0.5)
-                     else (mhw_hi, mhw_lo))
+        entropy_lo, entropy_hi = entropy_range(mhw_lo, mhw_hi)
         row = MetricsRow(
             design=name,
             wchd_min=min(per_chip_wchd),
             wchd_max=max(per_chip_wchd),
             mhw_min=mhw_lo,
             mhw_max=mhw_hi,
-            entropy_min=min_entropy_by_one_probability(far),
-            entropy_max=min_entropy_by_one_probability(near),
+            entropy_min=entropy_lo,
+            entropy_max=entropy_hi,
         )
         results.append(DesignResult(
             name=name,

@@ -34,7 +34,6 @@ from ..floorplan import DEFAULT_DESIGNS
 from ..simchip import DesignEntry, ProcessParams
 from . import protocol as wire
 from .dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, write_cycle, write_manifest  # noqa: F401
-from .dumpfile import bits_to_words
 
 # Reconnects per power-up; finding the chip still held by the dropped
 # session also counts as a failed attempt, after the pause.
@@ -108,7 +107,8 @@ class HarnessClient:
     def read_design(self, select: int, depth: int, width: int) -> np.ndarray:
         """All words of one design as uint64, from one write of all its reads."""
         self._send(wire.read_commands(select, depth))
-        return _words(_recv_exact(self.sock, wire.FRAME_LEN * depth), width)
+        frames = _recv_exact(self.sock, wire.FRAME_LEN * depth)
+        return wire.decode_data_frames(frames, width)
 
     def send_power_up(self, request: bytes) -> None:
         """Send a ``protocol.power_up_request``; ``receive_power_up`` takes its reply."""
@@ -136,18 +136,12 @@ def _acknowledged(frame: bytes) -> int:
     return reply.data
 
 
-def _words(frames, width: int) -> np.ndarray:
-    """Word values of a block of data frames, 9 bytes each."""
-    rows = np.frombuffer(frames, np.uint8).reshape(-1, wire.FRAME_LEN)
-    return bits_to_words(wire.decode_data_frames(rows, width))
-
-
 def decode_power_up(frames, designs: tuple[DesignEntry, ...]) -> list[np.ndarray]:
     """Each design's words from the data frames of one power-up, in select order."""
     words, start = [], 0
     for d in designs:
         end = start + wire.FRAME_LEN * d.geometry.depth
-        words.append(_words(frames[start:end], d.geometry.width))
+        words.append(wire.decode_data_frames(frames[start:end], d.geometry.width))
         start = end
     return words
 

@@ -188,7 +188,8 @@ def words_to_bits(words, w: int) -> np.ndarray:
 
 
 def bits_to_words(bits) -> np.ndarray:
-    """Word values of a (depth, w) bit matrix; inverse of words_to_bits."""
-    mat = np.asarray(bits).astype(np.uint64)
-    weights = np.left_shift(np.uint64(1), np.arange(mat.shape[1], dtype=np.uint64))
-    return (mat * weights).sum(axis=1, dtype=np.uint64)
+    """Word values of a (depth, w) bit matrix, w <= 64; inverse of words_to_bits."""
+    mat = np.asarray(bits, dtype=np.uint8)
+    packed = np.zeros((mat.shape[0], 8), dtype=np.uint8)  # little-endian words
+    packed[:, : -(-mat.shape[1] // 8)] = np.packbits(mat, axis=1, bitorder="little")
+    return packed.view("<u8").reshape(-1).astype(np.uint64, copy=False)

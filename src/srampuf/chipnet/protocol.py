@@ -10,6 +10,9 @@ Data frames carry the word in the high-order ``w`` data bits, most
 significant word bit first, zero padded below.  Control and error frames
 carry a plain big-endian integer in the data field; error frames are
 marked by start bits 000 instead of 101.
+
+Only ``_pack_fields`` and ``_split_fields`` know where the frame's fields
+sit; single frames pass Python ints through them, frame tables uint64 arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..layout import AddressOutOfRange
+from .dumpfile import bits_to_words
 
 # Opcodes of the byte-stream session protocol.
 OP_SELECT_CHIP = 0x01  # + 1 byte chip id
@@ -56,10 +60,6 @@ class ProtocolError(ValueError):
 
 
 class SelectOutOfRange(ValueError):
-    pass
-
-
-class ReservedBitSet(ValueError):
     pass
 
 
@@ -124,18 +124,9 @@ def power_up_request(depths) -> bytes:
     return b"".join([bytes([OP_POWER_ON]), *reads, bytes([OP_POWER_OFF])])
 
 
-def decode_requests(requests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(select, address) of 16-bit requests; a set reserved bit gives select >= 16."""
+def decode_requests(requests):
+    """(select, address) of an int or array of requests; a reserved bit gives select >= 16."""
     return requests >> 11, requests & MAX_ADDRESS
-
-
-def decode_request(b: bytes) -> ReadRequest:
-    if len(b) != 2:
-        raise ProtocolError(f"request must be 2 bytes, got {len(b)}")
-    value = int.from_bytes(b, "big")
-    if value & 0x8000:
-        raise ReservedBitSet(f"reserved bit set in {value:#06x}")
-    return ReadRequest(puf_select=value >> 11, address=value & 0x7FF)
 
 
 @dataclass(frozen=True)
@@ -148,73 +139,81 @@ class ResponseFrame:
         return self.start == START_ERROR
 
 
-def _assemble(start: int, data: int) -> bytes:
-    return ((start << 69) | (data << 5) | (STOP_BITS << 2)).to_bytes(FRAME_LEN, "big")
+# The frame as bytes 0-7 (start bits, then the top 61 data bits), big-endian,
+# and byte 8 (the low 3 data bits, stop bits, pad).
+_FRAME = np.dtype([("head", ">u8"), ("last", "u1")])
+_TAIL = STOP_BITS << 2  # stop bits and zero pad, the low 5 bits of byte 8
+
+
+def _pack_fields(start, data):
+    """(head, last) of frames with these start bits and 64-bit data fields."""
+    return start << 61 | data >> 3, (data & 0b111) << 5 | _TAIL
+
+
+def _split_fields(head, last):
+    """(start, data, stop and pad bits) of frames; inverse of _pack_fields."""
+    return head >> 61, (head & (1 << 61) - 1) << 3 | last >> 5, last & 0b11111
 
 
 def encode_control(payload: int) -> bytes:
     """Acknowledgement frame carrying an integer (chip id, cycle index)."""
     if not 0 <= payload < 1 << 64:
         raise ProtocolError(f"payload {payload} does not fit the data field")
-    return _assemble(START_DATA, payload)
+    head, last = _pack_fields(START_DATA, payload)
+    return (head << 8 | last).to_bytes(FRAME_LEN, "big")
 
 
 def encode_error(code: int) -> bytes:
     if not 0 <= code < 1 << 64:
         raise ProtocolError(f"error code {code} does not fit the data field")
-    return _assemble(START_ERROR, code)
+    head, last = _pack_fields(START_ERROR, code)
+    return (head << 8 | last).to_bytes(FRAME_LEN, "big")
 
 
 def decode_response(b: bytes) -> ResponseFrame:
     if len(b) != FRAME_LEN:
         raise ProtocolError(f"frame must be {FRAME_LEN} bytes, got {len(b)}")
     value = int.from_bytes(b, "big")
-    if value & 0b11:
-        raise ProtocolError("nonzero pad bits")
-    start = value >> 69
-    stop = (value >> 2) & 0b111
-    if stop != STOP_BITS:
-        raise ProtocolError(f"bad stop bits {stop:03b}")
+    start, data, tail = _split_fields(value >> 8, value & 0xFF)
+    if tail != _TAIL:
+        raise ProtocolError(f"malformed stop bits {tail >> 2:03b}, pad {tail & 0b11:02b}")
     if start not in (START_DATA, START_ERROR):
         raise ProtocolError(f"bad start bits {start:03b}")
-    return ResponseFrame(start=start, data=(value >> 5) & ((1 << 64) - 1))
+    return ResponseFrame(start=start, data=data)
 
 
 def frames_for_bits(bits: np.ndarray) -> np.ndarray:
     """Data frames for a whole (depth, w) bit matrix, one 9-byte row each.
 
-    The only data-frame encoder: the server precomputes this table at
-    power-on so reads are array lookups.
+    The word sits in the high-order w bits of the data field.  The server
+    precomputes this table at power-on so reads are array lookups.
     """
     depth, w = bits.shape
     if w > 64:
         raise WidthTooLarge(f"width {w} exceeds the 64-bit data field")
-    stream = np.zeros((depth, 72), dtype=np.uint8)
-    stream[:, 0] = 1
-    stream[:, 2] = 1  # start 101
-    stream[:, 3 : 3 + w] = bits[:, ::-1]  # word bit w-1 first on the wire
-    stream[:, 68] = 1  # stop 010, then 2 pad zeros
-    return np.packbits(stream, axis=1)
+    frames = np.empty(depth, dtype=_FRAME)
+    frames["head"], frames["last"] = _pack_fields(
+        START_DATA, bits_to_words(bits) << np.uint64(64 - w))
+    return frames.view(np.uint8).reshape(depth, FRAME_LEN)
 
 
-def decode_data_frames(frames: np.ndarray, width: int) -> np.ndarray:
-    """(n, width) bit matrix of n data frames (an (n, 9) uint8 array).
+def decode_data_frames(frames, width: int) -> np.ndarray:
+    """uint64 words of data frames: bytes, or an (n, 9) uint8 array.
 
-    Inverse of frames_for_bits; a non-data frame is reported by its index.
+    Inverse of frames_for_bits.  Each frame gets decode_response's checks; the
+    first that is not a data frame is reported by its index.
     """
     if not 0 < width <= 64:
         raise WidthTooLarge(f"width {width} outside [1, 64]")
-    bits = np.unpackbits(frames, axis=1)  # (n, 72)
-    good = (bits[:, 0] == 1) & (bits[:, 1] == 0) & (bits[:, 2] == 1)
-    if not good.all():
-        bad = int(np.flatnonzero(~good)[0])
-        frame = decode_response(frames[bad].tobytes())  # raises unless an error frame
+    rows = np.frombuffer(frames, dtype=_FRAME)
+    start, data, tail = _split_fields(rows["head"], rows["last"])
+    bad = (start != START_DATA) | (tail != _TAIL)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        try:
+            frame = decode_response(rows[i : i + 1].tobytes())
+        except ProtocolError as e:
+            raise ProtocolError(f"frame {i}: {e}") from None
         name = ERROR_NAMES.get(frame.data, f"code {frame.data}")
-        raise ProtocolError(f"read {bad} failed: {name}")
-    stops_ok = (
-        (bits[:, 67] == 0) & (bits[:, 68] == 1) & (bits[:, 69] == 0)
-        & (bits[:, 70] == 0) & (bits[:, 71] == 0)
-    )
-    if not stops_ok.all():
-        raise ProtocolError("malformed stop bits in a data frame")
-    return bits[:, 3 : 3 + width][:, ::-1]
+        raise ProtocolError(f"read {i} failed: {name}")
+    return data >> np.uint64(64 - width)

@@ -12,6 +12,7 @@ answer identical command sequences with identical bytes.
 
 from __future__ import annotations
 
+import signal
 import socket
 import threading
 import time
@@ -75,11 +76,7 @@ class _Session:
             return wire.encode_error(wire.ERR_NO_CHIP)
         if not self.powered:
             return wire.encode_error(wire.ERR_NOT_POWERED)
-        try:
-            request = wire.decode_request(payload)
-        except ValueError:
-            return wire.encode_error(wire.ERR_BAD_REQUEST)
-        select, address = request.puf_select, request.address
+        select, address = wire.decode_requests(int.from_bytes(payload, "big"))
         if select >= len(self.server.bank.designs) or address >= self.depths[select]:
             return wire.encode_error(wire.ERR_BAD_REQUEST)
         return self.frames[self.starts[select] + address].tobytes()
@@ -243,9 +240,12 @@ def serve(
 ) -> None:
     """Run a server on ``endpoint`` until interrupted."""
     server = ChipServer(designs, params, seed, host=endpoint[0], port=endpoint[1])
-    host, port = server.start()
-    print(f"serving chip bank (seed {seed}) on {host}:{port}")
+    # A shell starts a background job with SIGINT ignored, and Python keeps
+    # that; the server stops on SIGINT however it was started.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
+        host, port = server.start()
+        print(f"serving chip bank (seed {seed}) on {host}:{port}")
         # A timed sleep returns to the interpreter, which then raises a
         # SIGINT that the kernel delivered to any other thread.
         while True:
@@ -253,4 +253,5 @@ def serve(
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGINT, previous)
         server.shutdown()

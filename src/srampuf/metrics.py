@@ -118,6 +118,13 @@ def min_entropy_by_one_probability(p: float) -> float:
     return -math.log2(max(p, 1.0 - p))
 
 
+def entropy_range(mhw_min: float, mhw_max: float) -> tuple[float, float]:
+    """(min, max) min-entropy: of the MHW endpoint farther from 0.5, then of the nearer."""
+    far, near = ((mhw_min, mhw_max) if abs(mhw_min - 0.5) >= abs(mhw_max - 0.5)
+                 else (mhw_max, mhw_min))
+    return min_entropy_by_one_probability(far), min_entropy_by_one_probability(near)
+
+
 def mean_reconstruction_wchd(design: DesignEntry, params: ProcessParams, seed: int,
                              chips: int, cycles: int = 10) -> float:
     """Mean WCHD against cycle 0 over ``ChipBank((design,), params, seed)``."""

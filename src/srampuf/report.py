@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .metrics import min_entropy_by_one_probability
+from .metrics import entropy_range
 
 COLUMNS = (
     "SRAM-PUF",
@@ -42,10 +42,7 @@ def load_report(path) -> dict:
 
 def _verify_entropy(row: dict) -> None:
     """The entropy columns must restate the MHW endpoints exactly."""
-    lo, hi = row["mhw_min"], row["mhw_max"]
-    far, near = (lo, hi) if abs(lo - 0.5) >= abs(hi - 0.5) else (hi, lo)
-    expect_min = min_entropy_by_one_probability(far)
-    expect_max = min_entropy_by_one_probability(near)
+    expect_min, expect_max = entropy_range(row["mhw_min"], row["mhw_max"])
     if (abs(expect_min - row["entropy_min"]) > 1e-9
             or abs(expect_max - row["entropy_max"]) > 1e-9):
         raise ReportParseError(

@@ -197,6 +197,24 @@ def test_serve_runs_as_a_subprocess(tmp_path, small_cfg):
             proc.wait(timeout=10)
 
 
+def test_serve_stops_on_sigint_when_started_with_sigint_ignored(small_cfg):
+    # What a non-interactive shell does to a job it starts with "&".
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "srampuf.cli", "serve",
+         "--config", str(small_cfg), "--seed", "5", "--endpoint", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        assert proc.stdout.readline().startswith("serving chip bank (seed 5) on ")
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) in (0, 130)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
 # serve() on the main thread; a side thread sends SIGINT to itself, so the
 # kernel delivers it away from the thread that must raise KeyboardInterrupt.
 SIGINT_ON_A_SIDE_THREAD = """

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import assemble_frame
+from srampuf.chipnet.dumpfile import words_to_bits
 from srampuf.chipnet.protocol import (
     ERR_NO_CHIP,
     FRAME_LEN,
@@ -15,11 +16,10 @@ from srampuf.chipnet.protocol import (
     START_ERROR,
     ProtocolError,
     ReadRequest,
-    ReservedBitSet,
+    ResponseFrame,
     SelectOutOfRange,
     WidthTooLarge,
     decode_data_frames,
-    decode_request,
     decode_requests,
     decode_response,
     encode_control,
@@ -46,17 +46,10 @@ def test_request_validation():
         ReadRequest(0, 2048)
 
 
-def test_decode_request_rejects_reserved_bit():
-    with pytest.raises(ReservedBitSet):
-        decode_request(bytes.fromhex("8000"))
-    with pytest.raises(ProtocolError):
-        decode_request(b"\x00")
-
-
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=2047))
 def test_request_round_trip(select, address):
     r = ReadRequest(select, address)
-    assert decode_request(encode_request(r)) == r
+    assert decode_requests(int.from_bytes(encode_request(r), "big")) == (select, address)
 
 
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=2048))
@@ -112,7 +105,7 @@ def test_data_frame_is_high_aligned_msb_first():
     decoded = decode_response(frame)
     assert decoded.start == START_DATA
     assert not decoded.is_error
-    assert np.array_equal(decode_data_frames(frame_table(frame), 4), [[1, 0, 1, 1]])
+    assert np.array_equal(decode_data_frames(frame_table(frame), 4), [0b1101])
 
 
 def test_control_frame_carries_plain_integer():
@@ -151,6 +144,33 @@ def test_decode_response_rejects_malformed_frames():
     bad_start = (0b111 << 69 | 0b010 << 2).to_bytes(9, "big")
     with pytest.raises(ProtocolError):
         decode_response(bad_start)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 64) - 1))
+def test_control_and_error_frames_match_the_oracle(payload):
+    frame = assemble_frame(format(payload, "064b"))
+    error = bytes([frame[0] & 0b00011111]) + frame[1:]  # start bits 000
+    assert encode_control(payload) == frame
+    assert encode_error(payload) == error
+    assert decode_response(frame) == ResponseFrame(START_DATA, payload)
+    assert decode_response(error) == ResponseFrame(START_ERROR, payload)
+
+
+# Field -> (byte of the frame, shift of its lowest bit there, width in bits).
+FRAME_FIELDS = {"start": (0, 5, 3), "stop": (8, 2, 3), "pad": (8, 0, 2)}
+
+
+@given(st.data())
+def test_decoder_names_the_one_corrupted_frame(data):
+    depth = data.draw(st.integers(min_value=1, max_value=64))
+    w = data.draw(st.integers(min_value=1, max_value=64))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    table = frames_for_bits(rng.integers(0, 2, size=(depth, w)).astype(np.uint8)).copy()
+    row = data.draw(st.integers(min_value=0, max_value=depth - 1))
+    byte, shift, size = FRAME_FIELDS[data.draw(st.sampled_from(sorted(FRAME_FIELDS)))]
+    table[row, byte] ^= data.draw(st.integers(min_value=1, max_value=(1 << size) - 1)) << shift
+    with pytest.raises(ProtocolError, match=rf"^(frame|read) {row}\b"):
+        decode_data_frames(table, w)
 
 
 def test_decoder_width_validation():
@@ -196,7 +216,8 @@ def test_response_round_trip(data):
     )
     frame = data_frame(bits)
     assert frame == assemble_frame(wire_data_bits(bits))
-    assert np.array_equal(decode_data_frames(frame_table(frame), w), [bits])
+    assert np.array_equal(words_to_bits(decode_data_frames(frame_table(frame), w), w),
+                          [bits])
 
 
 @pytest.mark.parametrize("depth,w", [(1, 1), (4, 8), (16, 32), (3, 64)])
@@ -207,7 +228,7 @@ def test_frames_for_bits_matches_per_word_encoding(depth, w):
     assert table.shape == (depth, FRAME_LEN)
     for addr in range(depth):
         assert table[addr].tobytes() == assemble_frame(wire_data_bits(bits[addr]))
-    assert np.array_equal(decode_data_frames(table, w), bits)
+    assert np.array_equal(words_to_bits(decode_data_frames(table, w), w), bits)
 
 
 def test_frames_for_bits_width_validation():
