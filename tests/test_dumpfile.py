@@ -143,6 +143,43 @@ def test_fixed_width_parse_falls_back_to_the_line_loop(mutate, expected):
     assert (_parse_fixed_width(text.encode("utf-8")) is None) == (text != WIDE_TEXT)
 
 
+# Bytes a mutation writes or inserts: uppercase and non-hex digits, a space,
+# line-break bytes, and digits that keep the line well formed.
+MUTATION_BYTES = b"ABCDEFg \r0f\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_parse_dump_agrees_with_the_line_loop_on_mutated_dumps(data):
+    width = data.draw(st.integers(1, 64), label="width")
+    depth = data.draw(st.integers(1, 2048), label="depth")
+    words = data.draw(arrays(np.uint64, depth, elements=st.integers(0, 2**width - 1)),
+                      label="words")
+    header = DumpHeader("P4_b", depth, width, 8, "MX", "slow", 255, 99)
+    raw = format_dump(header, words).encode("ascii")
+    mutation = data.draw(st.sampled_from(["none", "replace", "insert", "delete", "swap"]),
+                         label="mutation")
+    if mutation == "swap":
+        lines = raw.split(b"\n")
+        i, j = (data.draw(st.integers(3, 2 + depth), label="line") for _ in range(2))
+        lines[i], lines[j] = lines[j], lines[i]
+        raw = b"\n".join(lines)
+    elif mutation != "none":
+        # the first and the last byte get extra weight: a fast path's edge cases sit there
+        at = data.draw(st.sampled_from([0, len(raw) - 1]) | st.integers(0, len(raw) - 1),
+                       label="at")
+        byte = bytes([data.draw(st.sampled_from(MUTATION_BYTES), label="byte")])
+        head, tail = raw[:at], raw[at:] if mutation == "insert" else raw[at + 1:]
+        raw = head + (b"" if mutation == "delete" else byte) + tail
+    text = raw.decode("ascii")
+    reference = _outcome(_parse_lines, text)
+    assert _outcome(parse_dump, text) == reference
+    assert _outcome(parse_dump, raw) == reference
+    if mutation == "none":
+        assert reference[0] == header
+        assert reference[1] == parse_dump_lines(text).tolist() == words.tolist()
+
+
 def test_parse_round_trip():
     words = [0xFF, 0x00, 0xA3, 0x0C]
     header, got = parse_dump(format_dump(HEADER, words))
