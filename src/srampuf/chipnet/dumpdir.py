@@ -7,6 +7,7 @@ written together.  ``manifest.txt`` adds a ``server_cycle <chip> <cycle>
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import numpy as np
 from ..biasdetect import InsufficientData
 from ..floorplan import format_config, load_config
 from ..simchip import DesignEntry, ProcessParams
-from .dumpfile import DumpHeader, format_dump, parse_dump, parse_header, words_to_bits
+from .dumpfile import (DumpFormatError, DumpHeader, format_dump, parse_dump, parse_header,
+                       words_to_bits)
 
 MANIFEST_NAME = "manifest.txt"
 FLOORPLAN_NAME = "floorplan.cfg"
@@ -56,6 +58,15 @@ def write_manifest(out: Path, chips: int, cycles: int, designs: tuple[DesignEntr
     (out / FLOORPLAN_NAME).write_text(format_config(params, designs), encoding="utf-8")
 
 
+@contextmanager
+def _named(path: Path):
+    """Re-raise a dump's format or encoding error with the dump's file name."""
+    try:
+        yield
+    except (DumpFormatError, UnicodeDecodeError) as e:
+        raise DumpFormatError(f"{path.name}: {e}") from e
+
+
 @dataclass(frozen=True)
 class DesignDumps:
     """Locations and shared header geometry of one design's dump files."""
@@ -73,9 +84,8 @@ def scan_dump_dir(dump_dir) -> dict[str, DesignDumps]:
     root = Path(dump_dir)
     index: dict[str, DesignDumps] = {}
     for path in sorted(root.glob("*.pufdump"), key=lambda p: p.name):
-        with open(path, "r", encoding="utf-8") as fh:
-            head = [fh.readline().rstrip("\n") for _ in range(3)]
-        header = parse_header(head)
+        with _named(path), open(path, "r", encoding="utf-8") as fh:
+            header = parse_header([fh.readline().rstrip("\n") for _ in range(3)])
         known = index.setdefault(header.design, DesignDumps(header=header, files={}))
         for field_name in ("depth", "width", "mux", "orient", "speed_class"):
             if getattr(known.header, field_name) != getattr(header, field_name):
@@ -110,7 +120,9 @@ def load_bits(design: DesignDumps, chips, cycles) -> np.ndarray:
     bits = np.empty((len(chips), len(cycles), design.cells), dtype=np.uint8)
     for i, chip in enumerate(chips):
         for j, cycle in enumerate(cycles):
-            header, words = parse_dump(design.files[(chip, cycle)].read_bytes())
+            path = design.files[(chip, cycle)]
+            with _named(path):
+                header, words = parse_dump(path.read_bytes())
             bits[i, j] = words_to_bits(words, header.width).reshape(-1)
     return bits
 

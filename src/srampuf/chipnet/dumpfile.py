@@ -10,24 +10,25 @@ Format::
 
 One body line per address, addresses in order, lowercase hex; the word
 field is ceil(w/4) digits wide with bit w-1 as the most significant bit.
-Body lines are therefore fixed width, so both the writer and the parser
-treat the body as one ``(depth, digits + 7)`` byte array.  The parser
-falls back to a line-by-line regex loop whenever that view does not fit,
-which is also what names the first bad line in its error.
+Widths run 1-64 and depths 1-65,536 (addresses are four hex digits); the
+writer and the header parser both refuse any other geometry.
+
+``format_dump`` is the format.  The parser's fast path decodes the digit
+columns at their fixed offsets and keeps the result only when
+``format_dump`` writes the input back byte for byte.  Everything else goes
+to a line-by-line regex loop, which also accepts CRLF line ends and a
+missing final newline, and names the first bad line in its error.
 """
 
 from __future__ import annotations
 
+import binascii
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 MAGIC = "#PUFDUMP v1"
-_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-# Byte -> nibble value; any byte that is not lowercase hex maps to 0xFF.
-_NIBBLE = np.full(256, 0xFF, dtype=np.uint8)
-_NIBBLE[_HEX] = np.arange(16, dtype=np.uint8)
 
 _DESIGN_RE = re.compile(
     r"#design (\S+) depth=(\d+) width=(\d+) mux=(\d+) orient=(\S+) class=(fast|slow)$"
@@ -63,7 +64,23 @@ def word_hex_width(w: int) -> int:
     return -(-w // 4)
 
 
+def _check_geometry(header: DumpHeader) -> DumpHeader:
+    """``header`` if a dump can hold its design: width 1-64, depth 1-65,536."""
+    if not 1 <= header.width <= 64:
+        raise DumpFormatError(f"width {header.width} is outside 1-64")
+    if not 1 <= header.depth <= 0x10000:
+        raise DumpFormatError(f"depth {header.depth} is outside 1-65536")
+    return header
+
+
+def _hex_digits(values: np.ndarray) -> np.ndarray:
+    """Lowercase hex digits of big-endian ``values``, one row per value."""
+    digits = np.frombuffer(binascii.hexlify(values.tobytes()), dtype=np.uint8)
+    return digits.reshape(values.size, -1)
+
+
 def format_dump(header: DumpHeader, words) -> str:
+    _check_geometry(header)
     arr = np.asarray(words, dtype=np.uint64)
     if arr.size != header.depth:
         raise DumpFormatError(f"{arr.size} words for depth {header.depth}")
@@ -76,11 +93,11 @@ def format_dump(header: DumpHeader, words) -> str:
         f"#chip {header.chip} cycle {header.cycle}",
     ]
     # Body lines are fixed width, "aaaa: hhhh\n", so the body is one byte array.
-    shifts = np.arange(4 * word_hex_width(header.width) - 4, -1, -4, dtype=np.uint64)
-    body = np.full((arr.size, shifts.size + 7), ord(" "), dtype=np.uint8)
-    body[:, :4] = _HEX[(np.arange(arr.size)[:, np.newaxis] >> [12, 8, 4, 0]) & 0xF]
+    digits = word_hex_width(header.width)
+    body = np.full((arr.size, digits + 7), ord(" "), dtype=np.uint8)
+    body[:, :4] = _hex_digits(np.arange(arr.size, dtype=">u2"))
     body[:, 4] = ord(":")
-    body[:, 6:-1] = _HEX[(arr[:, np.newaxis] >> shifts) & np.uint64(0xF)]
+    body[:, 6:-1] = _hex_digits(arr.astype(">u8"))[:, 16 - digits:]
     body[:, -1] = ord("\n")
     return "\n".join(lines) + "\n" + body.tobytes().decode("ascii")
 
@@ -95,7 +112,7 @@ def parse_header(lines: list[str]) -> DumpHeader:
     m2 = _CHIP_RE.match(lines[2])
     if not m2:
         raise DumpFormatError(f"bad chip line: {lines[2]!r}")
-    return DumpHeader(
+    return _check_geometry(DumpHeader(
         design=name,
         depth=int(depth),
         width=int(width),
@@ -104,58 +121,35 @@ def parse_header(lines: list[str]) -> DumpHeader:
         speed_class=speed,
         chip=int(m2.group(1)),
         cycle=int(m2.group(2)),
-    )
+    ))
 
 
 def parse_dump(data: str | bytes) -> tuple[DumpHeader, np.ndarray]:
     """Header and word values of a dump given as text or as UTF-8 bytes."""
-    parsed = _parse_fixed_width(data.encode("utf-8") if isinstance(data, str) else data)
-    if parsed is not None:
-        return parsed
-    return _parse_lines(data if isinstance(data, str) else data.decode("utf-8"))
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    return _parse_fixed_width(raw) or _parse_lines(raw.decode("utf-8"))
 
 
 def _parse_fixed_width(raw: bytes) -> tuple[DumpHeader, np.ndarray] | None:
-    """The body as one byte array; None if any line breaks the fixed layout.
-
-    A bad header raises here just as in the line loop: both parse the same
-    three lines.
-    """
+    """Header and words if format_dump writes ``raw`` back byte for byte, else None."""
     parts = raw.split(b"\n", 3)
     if len(parts) < 4:
         return None
     try:
-        lines = [part.decode("ascii") for part in parts[:3]]
-    except UnicodeDecodeError:
-        return None
-    if "\n".join(lines).splitlines() != lines:  # another line break in the header
-        return None
-    header = parse_header(lines)
-    digits = word_hex_width(header.width)
-    body = np.frombuffer(parts[3], dtype=np.uint8)
-    if not 0 < digits <= 16 or body.size != header.depth * (digits + 7):
-        return None
-    body = body.reshape(header.depth, digits + 7)
-    nibbles = _NIBBLE[body]
-    if (
-        (nibbles[:, :4] > 15).any()
-        or (nibbles[:, 6:-1] > 15).any()
-        or (body[:, 4] != ord(":")).any()
-        or (body[:, 5] != ord(" ")).any()
-        or (body[:, -1] != ord("\n")).any()
-    ):
-        return None
-    address = nibbles[:, :4].astype(np.int64) @ np.array([4096, 256, 16, 1])
-    if (address != np.arange(header.depth)).any():
-        return None
-    # Left-pad the digits to 16 nibbles, pair them into bytes, read big-endian.
-    padded = np.zeros((header.depth, 16), dtype=np.uint8)
-    padded[:, 16 - digits :] = nibbles[:, 6:-1]
-    packed = (padded[:, 0::2] << 4) | padded[:, 1::2]
-    words = packed.view(">u8").reshape(-1).astype(np.uint64)
-    if header.width < 64 and (words >> np.uint64(header.width)).any():
-        return None
-    return header, words
+        header = parse_header([part.decode("ascii") for part in parts[:3]])
+        digits = word_hex_width(header.width)
+        body = np.frombuffer(parts[3], dtype=np.uint8)
+        if body.size != header.depth * (digits + 7):
+            return None
+        # Left-pad each word to 16 digits, then read it as a big-endian uint64.
+        padded = np.full((header.depth, 16), ord("0"), dtype=np.uint8)
+        padded[:, 16 - digits:] = body.reshape(header.depth, digits + 7)[:, 6:-1]
+        words = np.frombuffer(binascii.unhexlify(padded.tobytes()), dtype=">u8").astype(np.uint64)
+        if format_dump(header, words).encode("ascii") == raw:
+            return header, words
+    except (UnicodeDecodeError, binascii.Error, DumpFormatError):
+        pass
+    return None
 
 
 def _parse_lines(text: str) -> tuple[DumpHeader, np.ndarray]:

@@ -60,14 +60,6 @@ class RunLengthPattern:
         """First ``n`` pattern values as floats: '1' phase -> +1, '0' -> -1."""
         return 2.0 * self.bits(n) - 1.0
 
-    def anchored_cycle(self) -> np.ndarray:
-        """One period of the emitted sequence, observed from position zero.
-
-        With an offset run this differs from the block itself: the cycle
-        wraps around in the phase the sequence actually starts in.
-        """
-        return self.bits(self.period)
-
 
 def parse_run_length(text: str) -> RunLengthPattern:
     if not _FULL.match(text):

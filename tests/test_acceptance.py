@@ -88,7 +88,8 @@ def test_criterion_3_period_detection():
     n = 8192
     hits = 0
     for planted, pattern in sorted(period_patterns.items()):
-        cycle = np.array(parse_run_length(pattern).anchored_cycle(), dtype=np.uint8)
+        pat = parse_run_length(pattern)
+        cycle = pat.bits(pat.period)
         for k in range(25):
             rng = np.random.default_rng(1000 * planted + k)
             v = np.tile(cycle, -(-n // planted))[:n]

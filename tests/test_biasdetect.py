@@ -37,7 +37,7 @@ def square_wave(period, n):
 
 def noisy_tiling(planted, n, seed, flip_p):
     pat = parse_run_length(PLANTED_CYCLES[planted])
-    cyc = np.asarray(pat.anchored_cycle(), dtype=np.uint8)
+    cyc = pat.bits(pat.period)
     rng = np.random.default_rng(seed)
     base = np.tile(cyc, -(-n // planted))[:n]
     base = np.roll(base, int(rng.integers(0, planted)))

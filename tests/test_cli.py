@@ -1,5 +1,6 @@
 """Command-line entry points, end to end."""
 
+import re
 import signal
 import subprocess
 import sys
@@ -154,6 +155,46 @@ def test_analyze_fails_cleanly_on_an_empty_directory(tmp_path, capsys):
     assert "no .pufdump files" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def small_dumps(tmp_path, small_cfg, capsys):
+    dumps = tmp_path / "dumps"
+    assert main(["collect", "--config", str(small_cfg), "--seed", "7",
+                 "--chips", "2", "--cycles", "2", "--out", str(dumps)]) == 0
+    capsys.readouterr()
+    return dumps
+
+
+def _analyze_error(dumps, capsys) -> str:
+    rc = main(["analyze", str(dumps), "--baseline", "A", "--out", str(dumps / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
+def test_analyze_reports_dumps_wider_than_64_bits(small_dumps, capsys):
+    # Design A's headers say width=100 and each word carries 25 digits.
+    for path in small_dumps.glob("A_*.pufdump"):
+        text = path.read_text(encoding="utf-8").replace("width=16", "width=100")
+        text = re.sub(r"(?m)^([0-9a-f]{4}): ", r"\1: " + "f" * 21, text)
+        path.write_text(text, encoding="utf-8")
+    err = _analyze_error(small_dumps, capsys)
+    assert err == "error: A_chip000_cycle00.pufdump: width 100 is outside 1-64\n"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda b: b.replace(b"0001: ", b"0001: Z"), "bad body line 1: '0001: Z"),
+    (lambda b: b.replace(b"depth=128", b"depth=12x"), "bad design line: '#design B depth=12x"),
+    (lambda b: b.replace(b"#chip", b"\xff#chip"), "'utf-8' codec can't decode byte 0xff"),
+    (lambda b: b.replace(b"0001: ", b"0001: \xff"), "'utf-8' codec can't decode byte 0xff"),
+])
+def test_analyze_names_the_dump_behind_a_format_error(small_dumps, capsys, corrupt, message):
+    path = small_dumps / "B_chip001_cycle01.pufdump"
+    path.write_bytes(corrupt(path.read_bytes()))
+    err = _analyze_error(small_dumps, capsys)
+    assert err.startswith(f"error: B_chip001_cycle01.pufdump: {message}")
+
+
 def test_report_fails_cleanly_on_a_missing_file(tmp_path, capsys):
     assert main(["report", str(tmp_path / "absent.json")]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -168,51 +209,52 @@ def test_every_pipeline_error_is_a_reported_failure(error):
 
 
 def test_serve_runs_as_a_subprocess(tmp_path, small_cfg):
-    proc = subprocess.Popen(
+    # Leaving the with block closes the pipes, and ResourceWarning is an error.
+    with subprocess.Popen(
         [sys.executable, "-u", "-m", "srampuf.cli", "serve",
          "--config", str(small_cfg), "--seed", "5",
          "--endpoint", "127.0.0.1:0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        banner = proc.stdout.readline()
-        assert banner.startswith("serving chip bank (seed 5) on ")
-        host, _, port = banner.rsplit(maxsplit=1)[-1].rpartition(":")
-        client = HarnessClient((host, int(port)))
+    ) as proc:
         try:
-            client.select_chip(0)
-            assert client.power_on() == 0
-            words = client.read_design(0, depth=64, width=16)
+            banner = proc.stdout.readline()
+            assert banner.startswith("serving chip bank (seed 5) on ")
+            host, _, port = banner.rsplit(maxsplit=1)[-1].rpartition(":")
+            client = HarnessClient((host, int(port)))
+            try:
+                client.select_chip(0)
+                assert client.power_on() == 0
+                words = client.read_design(0, depth=64, width=16)
+            finally:
+                client.close()
+            bank = ChipBank(SMALL, PARAMS, 5)
+            assert list(words) == list(bits_to_words(bank.snapshots(0, 0)["A"].bits))
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) in (0, 130)
         finally:
-            client.close()
-        bank = ChipBank(SMALL, PARAMS, 5)
-        assert list(words) == list(bits_to_words(bank.snapshots(0, 0)["A"].bits))
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=10) in (0, 130)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
 
 
 def test_serve_stops_on_sigint_when_started_with_sigint_ignored(small_cfg):
     # What a non-interactive shell does to a job it starts with "&".
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-u", "-m", "srampuf.cli", "serve",
          "--config", str(small_cfg), "--seed", "5", "--endpoint", "127.0.0.1:0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
-    )
-    try:
-        assert proc.stdout.readline().startswith("serving chip bank (seed 5) on ")
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=10) in (0, 130)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
+    ) as proc:
+        try:
+            assert proc.stdout.readline().startswith("serving chip bank (seed 5) on ")
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) in (0, 130)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
 
 
 # serve() on the main thread; a side thread sends SIGINT to itself, so the

@@ -10,6 +10,7 @@ from oracles import format_dump_lines, parse_dump_lines
 from srampuf.chipnet import collector, dumpfile
 from srampuf.chipnet.dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, dump_filename
 from srampuf.chipnet.dumpfile import (
+    MAGIC,
     DumpFormatError,
     DumpHeader,
     _parse_fixed_width,
@@ -71,6 +72,36 @@ def test_format_dump_word_count_must_match_depth():
 def test_format_dump_rejects_word_wider_than_width():
     with pytest.raises(DumpFormatError, match="wider than 8 bits"):
         format_dump(HEADER, [0xFF, 0x00, 0x100, 0x0C])
+
+
+@pytest.mark.parametrize("depth, width, message", [
+    (4, 0, "width 0 is outside 1-64"),
+    (4, 65, "width 65 is outside 1-64"),
+    (4, 100, "width 100 is outside 1-64"),
+    (0, 8, "depth 0 is outside 1-65536"),
+    (65537, 8, "depth 65537 is outside 1-65536"),
+])
+def test_writer_and_reader_refuse_a_geometry_a_dump_cannot_hold(depth, width, message):
+    header = DumpHeader("D", depth, width, 2, "R0", "slow", 0, 0)
+    with pytest.raises(DumpFormatError, match=message):
+        format_dump(header, np.zeros(depth, dtype=np.uint64))
+    # Words of all ones in the header's digit count: at width 100, more than a uint64 holds.
+    body = [f"{a:04x}: " + "f" * word_hex_width(width) for a in range(depth)]
+    text = "\n".join([MAGIC, f"#design D depth={depth} width={width} mux=2 orient=R0 class=slow",
+                      "#chip 0 cycle 0", *body, ""])
+    with pytest.raises(DumpFormatError, match=message):
+        parse_dump(text)
+
+
+def test_the_deepest_dump_round_trips():
+    header = DumpHeader("D", 65536, 1, 2, "R0", "slow", 0, 0)
+    words = np.arange(65536, dtype=np.uint64) & np.uint64(1)
+    text = format_dump(header, words)
+    assert text.endswith("\nfffe: 0\nffff: 1\n")
+    assert _parse_fixed_width(text.encode("ascii")) is not None
+    parsed_header, got = parse_dump(text)
+    assert parsed_header == header
+    assert np.array_equal(got, words)
 
 
 @settings(max_examples=60, deadline=None)

@@ -91,12 +91,13 @@ def test_signs_are_plus_minus_one():
     assert np.array_equal(p.signs(6), [-1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
 
 
-def test_anchored_cycle_wraps_in_the_starting_phase():
+def test_first_period_wraps_in_the_starting_phase():
     p = parse_run_length("0(32)1(64)0(64)")
-    anchored = p.anchored_cycle()
-    assert anchored.size == 128
-    # the anchored cycle wraps in the starting phase: 0^32 1^64 0^32
-    assert bit_runs(anchored) == [(0, 32), (1, 64), (0, 32)]
+    first = p.bits(p.period)
+    assert first.size == 128
+    # with an offset run, one period seen from position zero is not the
+    # block itself: it wraps in the starting phase, 0^32 1^64 0^32
+    assert bit_runs(first) == [(0, 32), (1, 64), (0, 32)]
 
 
 @given(st.sampled_from(TABLE_PATTERNS), st.integers(min_value=0, max_value=700))
@@ -113,9 +114,9 @@ def test_cyclic_notation_merges_wrap_around_run():
 
 
 @pytest.mark.parametrize("text", TABLE_PATTERNS)
-def test_anchored_cycle_notation_round_trips(text):
+def test_first_period_notation_round_trips(text):
     p = parse_run_length(text)
-    assert cyclic_notation(p.anchored_cycle()) == text
+    assert cyclic_notation(p.bits(p.period)) == text
 
 
 def test_canonical_cycle():
