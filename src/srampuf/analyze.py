@@ -6,11 +6,11 @@ autocorrelation, the dominant bias period and majority template, masked
 Hamming weight against that template, per-bit min-entropy endpoints, and
 the bias direction relative to a baseline design.
 
-Each design's dumps load into one ``(chips, cycles, cells)`` uint8 bit
-tensor, and every statistic is a reduction over its axes: one ``wchd``
-call per design compares all reconstructions with their enrollment, one
-``mhw`` call covers every reading, and the template folds the column sums
-of all readings at once.
+Each design's dumps load, one read per file, into a ``(chips, cycles,
+cells)`` uint8 bit tensor, and every statistic is a reduction over its
+axes: one ``wchd`` call per design compares all reconstructions with their
+enrollment, one ``mhw`` call covers every reading, and the template folds
+the column sums of all readings at once.
 """
 
 from __future__ import annotations
@@ -89,10 +89,11 @@ def analyze_dumps(
 
     results: list[DesignResult] = []
     directions: dict[str, int] = {}
+    total = 0
     for name in sorted(index):
-        design = index[name]
-        bits = load_bits(design, chips, cycles)
-        rows = bits.reshape(-1, design.cells)
+        header, bits = load_bits(name, index[name], chips, cycles)
+        rows = bits.reshape(-1, bits.shape[2])
+        total += bits.shape[2]
         # Cycles are sorted and include 0, so index 0 is the enrollment.
         per_chip_wchd = wchd(bits[:, :1], bits[:, 1:]).mean(axis=-1).tolist()
 
@@ -149,11 +150,11 @@ def analyze_dumps(
         )
         results.append(DesignResult(
             name=name,
-            depth=design.header.depth,
-            width=design.header.width,
-            mux=design.header.mux,
-            speed_class=design.header.speed_class,
-            orientation=design.header.orient,
+            depth=header.depth,
+            width=header.width,
+            mux=header.mux,
+            speed_class=header.speed_class,
+            orientation=header.orient,
             metrics=row,
             bias=bias,
             profile=profile,
@@ -166,7 +167,6 @@ def analyze_dumps(
     for result in results:
         result.bias = replace(result.bias, direction=directions[result.name] * base_dir)
 
-    total = sum(d.cells for d in index.values())
     if total != REFERENCE_TOTAL_BITS:
         notes.append(
             f"floorplan reads {total} bits per chip per cycle; the reference "

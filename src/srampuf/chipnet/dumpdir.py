@@ -3,12 +3,17 @@
 Dumps carry the collector's own cycle count, and a power-up's dumps are
 written together.  ``manifest.txt`` adds a ``server_cycle <chip> <cycle>
 <index>`` line for each power-up the server counted under another index.
+
+The reader finds dumps by the names ``dump_filename`` gives and refuses any
+other ``.pufdump`` name.  It reads each dump once, and checks the header
+against the file name and the design's first dump in that read.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +21,12 @@ import numpy as np
 from ..biasdetect import InsufficientData
 from ..floorplan import format_config, load_config
 from ..simchip import DesignEntry, ProcessParams
-from .dumpfile import (DumpFormatError, DumpHeader, format_dump, parse_dump, parse_header,
-                       words_to_bits)
+from .dumpfile import DumpFormatError, DumpHeader, format_dump, parse_dump, words_to_bits
 
 MANIFEST_NAME = "manifest.txt"
 FLOORPLAN_NAME = "floorplan.cfg"
+_NAME_RE = re.compile(r"(?P<design>.+)_chip(?P<chip>\d+)_cycle(?P<cycle>\d+)\.pufdump")
+_NAMED = ("design", "chip", "cycle")
 
 
 def dump_filename(design: str, chip: int, cycle: int) -> str:
@@ -59,48 +65,34 @@ def write_manifest(out: Path, chips: int, cycles: int, designs: tuple[DesignEntr
 
 
 @contextmanager
-def _named(path: Path):
-    """Re-raise a dump's format or encoding error with the dump's file name."""
+def _named(path: Path, error=DumpFormatError):
+    """Re-raise a format or encoding error in ``path`` as ``error``, naming the file."""
     try:
         yield
-    except (DumpFormatError, UnicodeDecodeError) as e:
-        raise DumpFormatError(f"{path.name}: {e}") from e
+    except ValueError as e:  # DumpFormatError, UnicodeDecodeError, ConfigError
+        raise error(f"{path.name}: {e}") from e
 
 
-@dataclass(frozen=True)
-class DesignDumps:
-    """Locations and shared header geometry of one design's dump files."""
-
-    header: DumpHeader  # chip/cycle fields are not meaningful here
-    files: dict  # (chip, cycle) -> Path
-
-    @property
-    def cells(self) -> int:
-        return self.header.depth * self.header.width
-
-
-def scan_dump_dir(dump_dir) -> dict[str, DesignDumps]:
-    """Index a dump directory by design; validates header consistency."""
+def scan_dump_dir(dump_dir) -> dict[str, dict[tuple[int, int], Path]]:
+    """{design: {(chip, cycle): path}} of the names dump_filename gives; opens no dump."""
     root = Path(dump_dir)
-    index: dict[str, DesignDumps] = {}
+    index: dict[str, dict[tuple[int, int], Path]] = {}
     for path in sorted(root.glob("*.pufdump"), key=lambda p: p.name):
-        with _named(path), open(path, "r", encoding="utf-8") as fh:
-            header = parse_header([fh.readline().rstrip("\n") for _ in range(3)])
-        known = index.setdefault(header.design, DesignDumps(header=header, files={}))
-        for field_name in ("depth", "width", "mux", "orient", "speed_class"):
-            if getattr(known.header, field_name) != getattr(header, field_name):
-                raise InsufficientData(
-                    f"{path.name}: {field_name} disagrees with other {header.design} dumps")
-        known.files[(header.chip, header.cycle)] = path
+        m = _NAME_RE.fullmatch(path.name)
+        key = m and (m["design"], int(m["chip"]), int(m["cycle"]))
+        if not key or dump_filename(*key) != path.name:
+            raise InsufficientData(f"{path.name}: not a dump name; the collector writes "
+                                   f"names like {dump_filename('P1_a', 7, 3)}")
+        index.setdefault(key[0], {})[key[1:]] = path
     if not index:
         raise InsufficientData(f"no .pufdump files under {root}")
     return index
 
 
-def grid(index: dict[str, DesignDumps]) -> tuple[list[int], list[int]]:
+def grid(index: dict[str, dict]) -> tuple[list[int], list[int]]:
     """Common (chips, cycles) grid across designs; must be complete."""
-    keys = set(next(iter(index.values())).files)
-    if any(set(design.files) != keys for design in index.values()):
+    keys = set(next(iter(index.values())))
+    if any(set(files) != keys for files in index.values()):
         raise InsufficientData("designs cover different chip/cycle sets")
     chips = sorted({c for c, _ in keys})
     cycles = sorted({k for _, k in keys})
@@ -115,26 +107,36 @@ def grid(index: dict[str, DesignDumps]) -> tuple[list[int], list[int]]:
     return chips, cycles
 
 
-def load_bits(design: DesignDumps, chips, cycles) -> np.ndarray:
-    """(chips, cycles, cells) bit tensor; words_to_bits yields only 0/1."""
-    bits = np.empty((len(chips), len(cycles), design.cells), dtype=np.uint8)
+def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.ndarray]:
+    """First header and (chips, cycles, cells) 0/1 tensor, reading each file once."""
+    first = bits = None
     for i, chip in enumerate(chips):
         for j, cycle in enumerate(cycles):
-            path = design.files[(chip, cycle)]
+            path = files[(chip, cycle)]
             with _named(path):
                 header, words = parse_dump(path.read_bytes())
+            expected = replace(first or header, design=design, chip=chip, cycle=cycle)
+            for f in fields(DumpHeader):
+                if getattr(header, f.name) != getattr(expected, f.name):
+                    source = "its file name" if f.name in _NAMED else f"other {design} dumps"
+                    raise InsufficientData(f"{path.name}: {f.name} disagrees with {source}")
+            if first is None:
+                first = header
+                bits = np.empty((len(chips), len(cycles), header.depth * header.width), np.uint8)
             bits[i, j] = words_to_bits(words, header.width).reshape(-1)
-    return bits
+    return first, bits
 
 
 def read_plan(dump_dir) -> tuple[ProcessParams | None, int | None]:
     """Process parameters from ``floorplan.cfg`` and the manifest's seed; None if absent."""
     plan, manifest = Path(dump_dir, FLOORPLAN_NAME), Path(dump_dir, MANIFEST_NAME)
-    params = load_config(plan)[0] if plan.exists() else None
+    with _named(plan, ValueError):
+        params = load_config(plan)[0] if plan.exists() else None
     seed = None
     if manifest.exists():
-        for line in manifest.read_text(encoding="utf-8").splitlines():
-            key, _, value = line.strip().partition(" ")
-            if key == "seed":
-                seed = int(value)
+        with _named(manifest, ValueError):
+            for line in manifest.read_text(encoding="utf-8").splitlines():
+                key, _, value = line.strip().partition(" ")
+                if key == "seed":
+                    seed = int(value)
     return params, seed

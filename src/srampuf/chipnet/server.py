@@ -29,8 +29,8 @@ class _Session:
         self.server = server
         self.conn = conn
         self.chip: int | None = None
-        self.powered = False
-        # Power-up frames. Row starts[s] + a: design s, address a; last row: error.
+        # Power-up frames, None while the chip is off.
+        # Row starts[s] + a: design s, address a; last row: error.
         self.frames = self.starts = self.depths = None
 
     # -- command handlers ------------------------------------------------
@@ -44,7 +44,6 @@ class _Session:
                 self.server._owners.pop(self.chip, None)
             self.server._owners[chip] = self
         self.chip = chip
-        self.powered = False
         self.frames = None
         return wire.encode_control(chip)
 
@@ -61,20 +60,18 @@ class _Session:
         self.frames = np.concatenate(tables + [error[np.newaxis]])
         self.depths = np.array([len(t) for t in tables] + [0])
         self.starts = np.cumsum(self.depths) - self.depths
-        self.powered = True
         return wire.encode_control(cycle)
 
     def power_off(self) -> bytes:
         if self.chip is None:
             return wire.encode_error(wire.ERR_NO_CHIP)
-        self.powered = False
         self.frames = None
         return wire.encode_control(0)
 
     def read(self, payload: bytes) -> bytes:
         if self.chip is None:
             return wire.encode_error(wire.ERR_NO_CHIP)
-        if not self.powered:
+        if self.frames is None:
             return wire.encode_error(wire.ERR_NOT_POWERED)
         select, address = wire.decode_requests(int.from_bytes(payload, "big"))
         if select >= len(self.server.bank.designs) or address >= self.depths[select]:
@@ -121,7 +118,7 @@ class _Session:
                     elif opcode == wire.OP_READ:
                         if pos + 3 > len(buf):
                             break
-                        if (self.powered and pos + 6 <= len(buf)
+                        if (self.frames is not None and pos + 6 <= len(buf)
                                 and buf[pos + 3] == wire.OP_READ):
                             frames, count = self.read_run(buf, pos)
                         else:

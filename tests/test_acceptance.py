@@ -112,15 +112,14 @@ def test_criterion_4_reliability_band(big_run):
         ProcessParams().sigma_noise
 
     lo, hi = WCHD_BAND
-    for name, design in scan_dump_dir(big_run["dumps"]).items():
-        width = design.header.width
+    for name, files in scan_dump_dir(big_run["dumps"]).items():
         in_band = total = 0
         for chip in range(CHIPS):
-            _, words = parse_dump(design.files[(chip, 0)].read_text())
-            enroll = words_to_bits(words, width).reshape(-1)
+            header, words = parse_dump(files[(chip, 0)].read_text())
+            enroll = words_to_bits(words, header.width).reshape(-1)
             for cycle in range(1, CYCLES):
-                _, words = parse_dump(design.files[(chip, cycle)].read_text())
-                d = wchd(enroll, words_to_bits(words, width).reshape(-1))
+                header, words = parse_dump(files[(chip, cycle)].read_text())
+                d = wchd(enroll, words_to_bits(words, header.width).reshape(-1))
                 in_band += lo <= d <= hi
                 total += 1
         assert in_band >= 0.95 * total, (name, in_band, total)

@@ -1,6 +1,10 @@
 """Dump-directory analysis and the JSON/text report round-trip."""
 
+import builtins
+import collections
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from srampuf.biasdetect import (
     smooth_template,
     strongest_vector,
 )
+from srampuf.chipnet import dumpdir
 from srampuf.chipnet.dumpdir import dump_filename, write_cycle
 from srampuf.chipnet.dumpfile import (
     DumpHeader,
@@ -156,7 +161,7 @@ def test_analysis_equals_the_per_reading_computation(small_run, profile_mode):
     index = scan_dump_dir(small_run["dumps"])
     chips, cycles = range(small_run["chips"]), range(small_run["cycles"])
     for r in run.results:
-        readings = [[read_bits(index[r.name].files[(chip, cycle)]) for cycle in cycles]
+        readings = [[read_bits(index[r.name][(chip, cycle)]) for cycle in cycles]
                     for chip in chips]
         per_chip_wchd = [float(np.mean([wchd(chip[0], recon) for recon in chip[1:]]))
                          for chip in readings]
@@ -195,15 +200,40 @@ def test_scan_requires_dumps(tmp_path):
         scan_dump_dir(tmp_path)
 
 
-def test_scan_rejects_inconsistent_headers(tmp_path):
+def test_analyze_rejects_inconsistent_headers(tmp_path):
     d = entry("A", 64, 8, 4, Orientation.R0, "0(4)1(4)")
-    write_bank_dumps(tmp_path, (d,), 1, chips=[0], cycles=[0])
+    write_bank_dumps(tmp_path, (d,), 1, chips=[0, 1], cycles=[0, 1])
     other = DumpHeader("A", 32, 8, 4, "R0", "slow", 1, 0)
     (tmp_path / dump_filename("A", 1, 0)).write_text(
         format_dump(other, np.zeros(32, dtype=np.uint64))
     )
-    with pytest.raises(InsufficientData):
-        scan_dump_dir(tmp_path)
+    with pytest.raises(InsufficientData, match=r"^A_chip001_cycle00\.pufdump: depth "):
+        analyze_dumps(tmp_path, baseline="A")
+
+
+def test_analyze_reads_each_dump_once_and_scan_opens_none(tmp_path, monkeypatch):
+    write_bank_dumps(tmp_path, SMALL, 1, chips=[0, 1], cycles=[0, 1, 2])
+    dumps = sorted(tmp_path.glob("*.pufdump"))
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"scan_dump_dir opened {args[0]}")
+
+    with monkeypatch.context() as m:
+        for module, name in ((builtins, "open"), (io, "open"), (os, "open")):
+            m.setattr(module, name, no_open)
+        index = scan_dump_dir(tmp_path)
+    assert sorted(p for files in index.values() for p in files.values()) == dumps
+
+    names = {path.read_bytes(): path.name for path in dumps}  # headers differ, so bytes do
+    reads = collections.Counter()
+
+    def counted(data):
+        reads[names[data]] += 1
+        return parse_dump(data)
+
+    monkeypatch.setattr(dumpdir, "parse_dump", counted)
+    analyze_dumps(tmp_path, baseline="A")
+    assert reads == {path.name: 1 for path in dumps}
 
 
 SMALL = (

@@ -182,17 +182,46 @@ def test_analyze_reports_dumps_wider_than_64_bits(small_dumps, capsys):
     assert err == "error: A_chip000_cycle00.pufdump: width 100 is outside 1-64\n"
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (lambda b: b.replace(b"0001: ", b"0001: Z"), "bad body line 1: '0001: Z"),
-    (lambda b: b.replace(b"depth=128", b"depth=12x"), "bad design line: '#design B depth=12x"),
-    (lambda b: b.replace(b"#chip", b"\xff#chip"), "'utf-8' codec can't decode byte 0xff"),
-    (lambda b: b.replace(b"0001: ", b"0001: \xff"), "'utf-8' codec can't decode byte 0xff"),
-])
-def test_analyze_names_the_dump_behind_a_format_error(small_dumps, capsys, corrupt, message):
-    path = small_dumps / "B_chip001_cycle01.pufdump"
-    path.write_bytes(corrupt(path.read_bytes()))
+def _rewrite(old: bytes, new: bytes):
+    return lambda path: path.write_bytes(path.read_bytes().replace(old, new))
+
+
+def _copy_to(name: str):
+    return lambda path: path.with_name(name).write_bytes(path.read_bytes())
+
+
+DUMP = "B_chip001_cycle01.pufdump"
+
+
+@pytest.mark.parametrize("damage, name, message", [
+    (_rewrite(b"0001: ", b"0001: Z"), DUMP, "bad body line 1: '0001: Z"),
+    (_rewrite(b"depth=128", b"depth=12x"), DUMP, "bad design line: '#design B depth=12x"),
+    (_rewrite(b"#chip", b"\xff#chip"), DUMP, "'utf-8' codec can't decode byte 0xff"),
+    (_rewrite(b"0001: ", b"0001: \xff"), DUMP, "'utf-8' codec can't decode byte 0xff"),
+    (_rewrite(b"#chip 1", b"#chip 0"), DUMP, "chip disagrees with its file name"),
+    (_rewrite(b"#design B", b"#design A"), DUMP, "design disagrees with its file name"),
+    (_rewrite(b"orient=R270", b"orient=R0"), DUMP, "orient disagrees with other B dumps"),
+    (_copy_to("B_chip1_cycle1.pufdump"), "B_chip1_cycle1.pufdump", "not a dump name"),
+    (_copy_to("B_chip0001_cycle01.pufdump"), "B_chip0001_cycle01.pufdump", "not a dump name"),
+    (_copy_to("notes.pufdump"), "notes.pufdump", "not a dump name"),
+], ids=["body", "depth", "header-utf8", "body-utf8", "chip", "design", "orient", "short-name",
+        "long-name", "stray-name"])
+def test_analyze_names_the_dump_behind_a_format_error(small_dumps, capsys, damage, name,
+                                                      message):
+    damage(small_dumps / DUMP)
     err = _analyze_error(small_dumps, capsys)
-    assert err.startswith(f"error: B_chip001_cycle01.pufdump: {message}")
+    assert err.startswith(f"error: {name}: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("floorplan.cfg", "design B\n", "design B\n  bogus 1\n", "line 19: unknown key 'bogus'"),
+    ("manifest.txt", "seed 7\n", "seed 12x\n", "invalid literal for int() with base 10: '12x'"),
+], ids=["floorplan", "manifest"])
+def test_analyze_names_the_plan_file_behind_an_error(small_dumps, capsys, name, old, new,
+                                                     message):
+    path = small_dumps / name
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    assert _analyze_error(small_dumps, capsys) == f"error: {name}: {message}\n"
 
 
 def test_report_fails_cleanly_on_a_missing_file(tmp_path, capsys):
