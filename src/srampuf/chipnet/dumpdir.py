@@ -11,6 +11,7 @@ against the file name and the design's first dump in that read.
 
 from __future__ import annotations
 
+import itertools
 import re
 from contextlib import contextmanager
 from dataclasses import fields, replace
@@ -90,14 +91,14 @@ def scan_dump_dir(dump_dir) -> dict[str, dict[tuple[int, int], Path]]:
 
 
 def grid(index: dict[str, dict]) -> tuple[list[int], list[int]]:
-    """Common (chips, cycles) grid across designs; must be complete."""
-    keys = set(next(iter(index.values())))
-    if any(set(files) != keys for files in index.values()):
-        raise InsufficientData("designs cover different chip/cycle sets")
-    chips = sorted({c for c, _ in keys})
-    cycles = sorted({k for _, k in keys})
-    if len(keys) != len(chips) * len(cycles):
-        raise InsufficientData("chip/cycle grid has holes")
+    """(chips, cycles) seen in any design; every design needs every pair."""
+    chips = sorted({c for files in index.values() for c, _ in files})
+    cycles = sorted({k for files in index.values() for _, k in files})
+    for design in sorted(index):
+        for key in itertools.product(chips, cycles):
+            if key not in index[design]:
+                raise InsufficientData(f"{dump_filename(design, *key)}: missing, though "
+                                       f"other dumps cover chip {key[0]} and cycle {key[1]}")
     if len(chips) < 2:
         raise InsufficientData(f"need dumps from >= 2 chips, found {len(chips)}")
     if len(cycles) < 2:

@@ -3,28 +3,17 @@
 A configuration file is a sequence of stanzas.  A ``params`` stanza sets
 process parameters; each ``design <name>`` stanza adds one macro.  Lines
 hold one ``key value...`` pair, blank lines and ``#`` comment lines are
-ignored, indentation is free-form:
-
-    params
-      sigma_mismatch 1.0
-      beta 0.06
-
-    design P1_a
-      depth 128
-      width 64
-      mux 4
-      class fast
-      orient R0
-      origin 0 0
-      pattern 0(32)1(64)0(64)
+ignored, indentation is free-form.  ``_PARAM_KEYS`` and ``_DESIGN_KEYS``
+list every key with its value count and reader; ``format_config`` writes
+the canonical form.
 """
 
 from __future__ import annotations
 
 from .chipnet import protocol as wire
 from .layout import Geometry, LayoutError, Orientation, PlacedMacro
-from .patterns import ParseError, parse_run_length
-from .simchip import DesignEntry, ProcessParams
+from .patterns import parse_run_length
+from .simchip import DegenerateGradient, DesignEntry, ProcessParams, orientation_sign
 
 
 class ConfigError(ValueError):
@@ -35,22 +24,10 @@ class ConfigError(ValueError):
         self.line = line
 
 
-def _entry(
-    name: str,
-    depth: int,
-    width: int,
-    mux: int,
-    speed: str,
-    orient: Orientation,
-    origin: tuple[int, int],
-    pattern: str,
-) -> DesignEntry:
+def _entry(name: str, depth: int, width: int, mux: int, speed: str,
+           orient: Orientation, origin: tuple[int, int], pattern: str) -> DesignEntry:
     g = Geometry(depth=depth, width=width, mux=mux, speed_class=speed)
-    return DesignEntry(
-        name=name,
-        placed=PlacedMacro(geometry=g, orientation=orient, origin=origin),
-        pattern=pattern,
-    )
+    return DesignEntry(name, PlacedMacro(g, orient, origin), pattern)
 
 
 # Eleven macros; readout select indices follow this order.  P1 is the
@@ -69,9 +46,35 @@ DEFAULT_DESIGNS: tuple[DesignEntry, ...] = (
     _entry("P6", 1024, 32, 8, "slow", Orientation.R0, (3200, 640), "0(16)1(32)0(32)"),
 )
 
-_PARAM_KEYS = ("sigma_mismatch", "sigma_noise", "beta", "gradient")
-_DESIGN_KEYS = ("depth", "width", "mux", "class", "orient", "origin", "pattern")
-_REQUIRED_DESIGN_KEYS = ("depth", "width", "mux", "orient", "pattern")
+
+def _speed(text: str) -> str:
+    if text not in ("fast", "slow"):
+        raise ValueError(f"{text!r} is neither fast nor slow")
+    return text
+
+
+def _pattern(text: str) -> str:
+    parse_run_length(text)
+    return text
+
+
+# key -> (value count, reader of one value); a reader raises ValueError.
+_PARAM_KEYS = {
+    "sigma_mismatch": (1, float),
+    "sigma_noise": (1, float),
+    "beta": (1, float),
+    "gradient": (2, float),
+}
+# In _entry's argument order; class and origin have defaults.
+_DESIGN_KEYS = {
+    "depth": (1, int),
+    "width": (1, int),
+    "mux": (1, int),
+    "class": (1, _speed),
+    "orient": (1, Orientation),
+    "origin": (2, int),
+    "pattern": (1, _pattern),
+}
 
 
 def _split_stanzas(text: str):
@@ -94,123 +97,78 @@ def _split_stanzas(text: str):
         yield stanza
 
 
-def _collect(body, allowed):
-    seen = {}
+def _read_keys(body, table) -> dict:
+    """{key: value} of a stanza body; two-value keys give a tuple."""
+    values = {}
     for lineno, key, rest in body:
-        if key not in allowed:
+        if key not in table:
             raise ConfigError(lineno, f"unknown key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(lineno, f"duplicate key {key!r}")
-        if not rest:
-            raise ConfigError(lineno, f"key {key!r} has no value")
-        seen[key] = (lineno, rest)
-    return seen
-
-
-def _one_float(name, lineno, rest):
-    if len(rest) != 1:
-        raise ConfigError(lineno, f"{name} takes one value")
-    try:
-        return float(rest[0])
-    except ValueError:
-        raise ConfigError(lineno, f"{name} value {rest[0]!r} is not a number")
-
-
-def _one_int(name, lineno, rest):
-    if len(rest) != 1:
-        raise ConfigError(lineno, f"{name} takes one value")
-    try:
-        return int(rest[0])
-    except ValueError:
-        raise ConfigError(lineno, f"{name} value {rest[0]!r} is not an integer")
+        count, read = table[key]
+        if len(rest) != count:
+            raise ConfigError(lineno, f"key {key!r} takes {count} value(s), got {len(rest)}")
+        try:
+            read_values = tuple(read(v) for v in rest)
+        except ValueError as e:
+            raise ConfigError(lineno, f"key {key!r}: {e}")
+        values[key] = read_values if count > 1 else read_values[0]
+    return values
 
 
 def parse_config(text: str) -> tuple[ProcessParams, tuple[DesignEntry, ...]]:
-    """Parse a configuration; absent stanzas fall back to package defaults."""
+    """Parse a configuration; absent stanzas fall back to package defaults.
+
+    Refuses, on its line, a floorplan that collect cannot carry: past the
+    wire limits, a name that is not one file name, or a degenerate gradient.
+    """
     params = ProcessParams()
+    params_line = None
     designs: list[DesignEntry] = []
-    seen_params = False
-    names: dict[str, int] = {}
+    lines: dict[str, int] = {}
     for header_line, header, body in _split_stanzas(text):
         if header[0] == "params":
             if len(header) != 1:
                 raise ConfigError(header_line, "params stanza takes no arguments")
-            if seen_params:
+            if params_line is not None:
                 raise ConfigError(header_line, "second params stanza")
-            seen_params = True
-            fields = _collect(body, _PARAM_KEYS)
-            kwargs = {}
-            for key in ("sigma_mismatch", "sigma_noise", "beta"):
-                if key in fields:
-                    kwargs[key] = _one_float(key, *fields[key])
-            if "gradient" in fields:
-                lineno, rest = fields["gradient"]
-                if len(rest) != 2:
-                    raise ConfigError(lineno, "gradient takes two values")
-                try:
-                    kwargs["gradient"] = (float(rest[0]), float(rest[1]))
-                except ValueError:
-                    raise ConfigError(lineno, f"bad gradient values {rest}")
+            params_line = header_line
+            values = _read_keys(body, _PARAM_KEYS)
             try:
-                params = ProcessParams(**kwargs)
+                params = ProcessParams(**values)
             except ValueError as e:
                 raise ConfigError(header_line, str(e))
-        else:
-            if len(header) != 2:
-                raise ConfigError(header_line, "design stanza needs exactly one name")
-            name = header[1]
-            if name in names:
-                raise ConfigError(
-                    header_line, f"design {name!r} already defined on line {names[name]}"
-                )
-            names[name] = header_line
-            fields = _collect(body, _DESIGN_KEYS)
-            for key in _REQUIRED_DESIGN_KEYS:
-                if key not in fields:
-                    raise ConfigError(header_line, f"design {name!r} missing key {key!r}")
-            depth = _one_int("depth", *fields["depth"])
-            width = _one_int("width", *fields["width"])
-            mux = _one_int("mux", *fields["mux"])
-            speed = "slow"
-            if "class" in fields:
-                lineno, rest = fields["class"]
-                if len(rest) != 1 or rest[0] not in ("fast", "slow"):
-                    raise ConfigError(lineno, f"class must be fast or slow, got {rest}")
-                speed = rest[0]
-            lineno, rest = fields["orient"]
-            if len(rest) != 1:
-                raise ConfigError(lineno, "orient takes one value")
-            try:
-                orient = Orientation(rest[0])
-            except ValueError:
-                raise ConfigError(lineno, f"unknown orientation tag {rest[0]!r}")
-            origin = (0, 0)
-            if "origin" in fields:
-                lineno, rest = fields["origin"]
-                if len(rest) != 2:
-                    raise ConfigError(lineno, "origin takes two values")
-                try:
-                    origin = (int(rest[0]), int(rest[1]))
-                except ValueError:
-                    raise ConfigError(lineno, f"bad origin values {rest}")
-            lineno, rest = fields["pattern"]
-            if len(rest) != 1:
-                raise ConfigError(lineno, "pattern takes one value")
-            try:
-                parse_run_length(rest[0])
-            except ParseError as e:
-                raise ConfigError(lineno, str(e))
-            try:
-                entry = _entry(name, depth, width, mux, speed, orient, origin, rest[0])
-            except LayoutError as e:
-                raise ConfigError(header_line, f"design {name!r}: {e}")
-            try:
-                wire.check_design(len(designs), entry)
-            except ValueError as e:
-                raise ConfigError(header_line, str(e))
-            designs.append(entry)
+            continue
+        if len(header) != 2:
+            raise ConfigError(header_line, "design stanza needs exactly one name")
+        name = header[1]
+        if "/" in name or "\0" in name:
+            raise ConfigError(header_line, f"design name {name!r} is not one file name")
+        if name in lines:
+            raise ConfigError(
+                header_line, f"design {name!r} already defined on line {lines[name]}")
+        lines[name] = header_line
+        values = {"class": "slow", "origin": (0, 0), **_read_keys(body, _DESIGN_KEYS)}
+        for key in _DESIGN_KEYS:
+            if key not in values:
+                raise ConfigError(header_line, f"design {name!r} missing key {key!r}")
+        try:
+            entry = _entry(name, *(values[key] for key in _DESIGN_KEYS))
+        except LayoutError as e:
+            raise ConfigError(header_line, f"design {name!r}: {e}")
+        try:
+            wire.check_design(len(designs), entry)
+        except ValueError as e:
+            raise ConfigError(header_line, str(e))
+        designs.append(entry)
     if not designs:
         designs = list(DEFAULT_DESIGNS)
+        lines = dict.fromkeys((d.name for d in designs), params_line)
+    for d in designs:
+        try:
+            orientation_sign(params, d.orientation)
+        except DegenerateGradient as e:
+            raise ConfigError(lines[d.name], f"design {d.name!r}: {e}")
     return params, tuple(designs)
 
 

@@ -5,6 +5,7 @@ summation instead of FFT, per-phase folding instead of spectral peaks,
 string assembly instead of integer shifting.  Slow but obviously correct.
 The scripted session of criterion 6 lives here too: sent one command at a
 time, it is the reference transcript that pipelined sends must reproduce.
+So does the strategy for random floorplans inside the wire limits.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import re
 from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 
 from srampuf.chipnet import protocol as wire
+from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.simchip import DesignEntry
 
 
 def autocorr_direct(v, lags=None):
@@ -172,3 +176,19 @@ def parse_rendered_table(text):
         assert len(cells) == len(headers), ln
         rows.append(dict(zip(headers, cells)))
     return rows
+
+
+@st.composite
+def designs(draw):
+    """One to four designs inside the wire limits, every orientation and even width."""
+    entries = []
+    for i in range(draw(st.integers(1, 4))):
+        mux = draw(st.sampled_from([1, 2, 4]))
+        geometry = Geometry(depth=mux * draw(st.integers(1, 256 // mux)),
+                            width=2 * draw(st.integers(1, 32)), mux=mux,
+                            speed_class=draw(st.sampled_from(["fast", "slow"])))
+        placed = PlacedMacro(geometry, draw(st.sampled_from(list(Orientation))),
+                             (100 * i, 0))
+        pattern = f"0({draw(st.integers(1, 40))})1({draw(st.integers(1, 40))})"
+        entries.append(DesignEntry(f"D{i}", placed, pattern))
+    return tuple(entries)

@@ -74,6 +74,31 @@ def test_gen_rejects_a_broken_config(tmp_path, capsys, text, message):
     assert "Traceback" not in err
 
 
+# Line 18 of format_config(PARAMS, SMALL) is "design B".
+UNCARRIED = {
+    "dotdot-name": (lambda t: t.replace("design B", "design ../x"), 18),
+    "slash-name": (lambda t: t.replace("design B", "design a/b"), 18),
+    "r90-gradient": (lambda t: t.replace("gradient 1.0 1.0", "gradient 1 0")
+                     .replace("R270", "R90"), 18),
+    "default-designs-gradient": (lambda t: "params\n  gradient 1 0\n", 1),
+}
+
+
+@pytest.mark.parametrize("command", ["gen", "collect"])
+@pytest.mark.parametrize("case", list(UNCARRIED))
+def test_a_floorplan_collect_cannot_carry_is_refused_before_writing(
+        tmp_path, small_cfg, capsys, command, case):
+    edit, line = UNCARRIED[case]
+    small_cfg.write_text(edit(small_cfg.read_text(encoding="utf-8")), encoding="utf-8")
+    out = tmp_path / "t" / ("fp.cfg" if command == "gen" else "dumps")
+    counts = ["--chips", "2", "--cycles", "2"] if command == "collect" else []
+    assert main([command, "--config", str(small_cfg), *counts, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["small.cfg"]
+
+
 def test_collect_analyze_report_pipeline(tmp_path, small_cfg, capsys):
     dumps = tmp_path / "dumps"
     rc = main(["collect", "--config", str(small_cfg), "--seed", "7",
@@ -211,6 +236,28 @@ def test_analyze_names_the_dump_behind_a_format_error(small_dumps, capsys, damag
     damage(small_dumps / DUMP)
     err = _analyze_error(small_dumps, capsys)
     assert err.startswith(f"error: {name}: {message}") and err.count("\n") == 1
+
+
+@pytest.fixture()
+def default_dumps(tmp_path, capsys):
+    dumps = tmp_path / "dumps"
+    assert main(["collect", "--seed", "7", "--chips", "2", "--cycles", "2",
+                 "--out", str(dumps)]) == 0
+    capsys.readouterr()
+    return dumps
+
+
+@pytest.mark.parametrize("pattern, missing", [
+    ("P3_chip001_cycle01.pufdump", "P3_chip001_cycle01.pufdump"),
+    ("*_chip001_cycle01.pufdump", "P1_a_chip001_cycle01.pufdump"),
+], ids=["one-design", "every-design"])
+def test_analyze_names_a_missing_dump(default_dumps, capsys, pattern, missing):
+    for path in default_dumps.glob(pattern):
+        path.unlink()
+    rc = main(["analyze", str(default_dumps), "--out", str(default_dumps / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {missing}: missing") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, old, new, message", [

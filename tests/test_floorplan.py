@@ -1,9 +1,10 @@
 """Default floorplan contents and the configuration file format."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import designs
 from srampuf.floorplan import (
     DEFAULT_DESIGNS,
     ConfigError,
@@ -141,14 +142,108 @@ def test_load_config_reads_files(tmp_path):
     assert [d.name for d in designs] == ["P1_a", "P1_b"]
 
 
+# A gradient component of 0 leaves the default R90 and R270 designs without
+# a bias direction, and parse_config refuses it.
+NONZERO = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).filter(bool)
+
+
 @given(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    NONZERO,
 )
 def test_parameter_floats_round_trip_exactly(sm, sn, beta, gy):
     params = ProcessParams(sigma_mismatch=sm, sigma_noise=sn, beta=beta,
                            gradient=(1.0, gy))
     got, _ = parse_config(format_config(params, ()))
     assert got == params
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.builds(ProcessParams,
+              sigma_mismatch=st.floats(min_value=1e-6, max_value=1e6),
+              sigma_noise=st.floats(min_value=0.0, max_value=1e6),
+              beta=st.floats(min_value=0.0, max_value=1e6),
+              gradient=st.tuples(NONZERO, NONZERO)),
+    designs(),
+)
+def test_floorplans_round_trip(params, floorplan):
+    assert parse_config(format_config(params, floorplan)) == (params, floorplan)
+
+
+PARAMS_TEXT = "params\n {key} {values}\n"
+DESIGN_TEXT = ("design D\n depth 64\n width 8\n mux 4\n class slow\n orient R0\n"
+               " origin 0 0\n pattern 0(2)1(2)\n")
+# key: (line, a wrong number of values, values holding one unreadable value)
+KEY_CASES = {
+    "sigma_mismatch": (2, "1 1", "x"),
+    "sigma_noise": (2, "", "0.1.2"),
+    "beta": (2, "1 1", "1e"),
+    "gradient": (2, "1", "1 y"),
+    "depth": (2, "64 64", "x"),
+    "width": (3, "", "8.0"),
+    "mux": (4, "4 4", "four"),
+    "class": (5, "fast slow", "medium"),
+    "orient": (6, "R0 R0", "R45"),
+    "origin": (7, "0", "0 y"),
+    "pattern": (8, "0(2)1(2) 0(2)1(2)", "0(0)"),
+}
+
+
+def _with_values(key, values):
+    if key in ("sigma_mismatch", "sigma_noise", "beta", "gradient"):
+        return PARAMS_TEXT.format(key=key, values=values)
+    return "".join(f" {key} {values}\n" if line.split()[0] == key else line + "\n"
+                   for line in DESIGN_TEXT.splitlines())
+
+
+def test_every_key_case_starts_from_a_config_that_parses():
+    _, (design,) = parse_config(DESIGN_TEXT)
+    assert design.name == "D" and design.orientation is Orientation.R0
+
+
+@pytest.mark.parametrize("key", list(KEY_CASES))
+def test_a_wrong_value_count_is_refused_on_the_key_line(key):
+    line, values, _ = KEY_CASES[key]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_with_values(key, values))
+    assert exc.value.line == line
+    assert f"key {key!r} takes " in str(exc.value)
+
+
+@pytest.mark.parametrize("key", list(KEY_CASES))
+def test_an_unreadable_value_is_refused_on_the_key_line(key):
+    line, _, values = KEY_CASES[key]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_with_values(key, values))
+    assert exc.value.line == line
+    message = str(exc.value)
+    assert f"key {key!r}: " in message and repr(values.split()[-1]) in message
+
+
+@pytest.mark.parametrize("name", ["../x", "a/b", "a\0b"])
+def test_a_design_name_that_is_not_one_file_name_is_refused(name):
+    with pytest.raises(ConfigError) as exc:
+        parse_config("params\n beta 0.1\n" + DESIGN_TEXT.replace("design D", f"design {name}"))
+    assert exc.value.line == 3
+    assert repr(name) in str(exc.value)
+
+
+@pytest.mark.parametrize("text, line, design", [
+    ("params\n gradient 1 0\n" + DESIGN_TEXT.replace("R0", "R90"), 3, "D"),
+    (DESIGN_TEXT.replace("R0", "MY90") + "params\n gradient 1 0\n", 1, "D"),
+    ("params\n gradient 1 0\n", 1, "P2_a"),  # the default designs
+    ("\n\nparams\n gradient 0 -2.5\n", 3, "P1_a"),
+])
+def test_a_gradient_without_a_column_component_is_refused(text, line, design):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line == line
+    assert f"design {design!r}: gradient " in str(exc.value)
+
+
+def test_a_gradient_along_every_design_column_axis_is_kept():
+    params, _ = parse_config(DESIGN_TEXT.replace("R0", "R270") + "params\n gradient 0 1\n")
+    assert params.gradient == (0.0, 1.0)

@@ -11,34 +11,17 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from oracles import parse_rendered_table
+from oracles import designs, parse_rendered_table
 from srampuf.chipnet.dumpdir import dump_filename
 from srampuf.chipnet.dumpfile import parse_dump, words_to_bits
 from srampuf.cli import main
 from srampuf.floorplan import format_config
-from srampuf.layout import Geometry, Orientation, PlacedMacro
-from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
+from srampuf.simchip import ChipBank, ProcessParams
 
 CHIPS = CYCLES = 3
 SEED = 4242
 PARAMS = ProcessParams()
-
-
-@st.composite
-def designs(draw):
-    entries = []
-    for i in range(draw(st.integers(1, 4))):
-        mux = draw(st.sampled_from([1, 2, 4]))
-        geometry = Geometry(depth=mux * draw(st.integers(1, 256 // mux)),
-                            width=2 * draw(st.integers(1, 32)), mux=mux,
-                            speed_class=draw(st.sampled_from(["fast", "slow"])))
-        placed = PlacedMacro(geometry, draw(st.sampled_from(list(Orientation))),
-                             (100 * i, 0))
-        pattern = f"0({draw(st.integers(1, 40))})1({draw(st.integers(1, 40))})"
-        entries.append(DesignEntry(f"D{i}", placed, pattern))
-    return tuple(entries)
 
 
 def run(argv):
