@@ -3,9 +3,23 @@
 A configuration file is a sequence of stanzas.  A ``params`` stanza sets
 process parameters; each ``design <name>`` stanza adds one macro.  Lines
 hold one ``key value...`` pair, blank lines and ``#`` comment lines are
-ignored, indentation is free-form.  ``_PARAM_KEYS`` and ``_DESIGN_KEYS``
-list every key with its value count and reader; ``format_config`` writes
-the canonical form.
+ignored, indentation is free-form:
+
+    params
+      sigma_mismatch 1.0
+      beta 0.06
+
+    design P1_a
+      depth 128
+      width 64
+      mux 4
+      class fast
+      orient R0
+      origin 0 0
+      pattern 0(32)1(64)0(64)
+
+``_PARAM_KEYS`` and ``_DESIGN_KEYS`` list every key with its value count
+and reader; ``format_config`` writes the canonical form.
 """
 
 from __future__ import annotations
@@ -24,10 +38,22 @@ class ConfigError(ValueError):
         self.line = line
 
 
-def _entry(name: str, depth: int, width: int, mux: int, speed: str,
-           orient: Orientation, origin: tuple[int, int], pattern: str) -> DesignEntry:
+def _entry(
+    name: str,
+    depth: int,
+    width: int,
+    mux: int,
+    speed: str,
+    orient: Orientation,
+    origin: tuple[int, int],
+    pattern: str,
+) -> DesignEntry:
     g = Geometry(depth=depth, width=width, mux=mux, speed_class=speed)
-    return DesignEntry(name, PlacedMacro(g, orient, origin), pattern)
+    return DesignEntry(
+        name=name,
+        placed=PlacedMacro(geometry=g, orientation=orient, origin=origin),
+        pattern=pattern,
+    )
 
 
 # Eleven macros; readout select indices follow this order.  P1 is the
@@ -57,6 +83,11 @@ def _pattern(text: str) -> str:
     parse_run_length(text)
     return text
 
+
+# A name heads each dump's file name, which most file systems cap at 255
+# bytes; the rest of the name takes 24 bytes up to cycle 99, and one more
+# per further digit of the cycle count.
+_MAX_NAME_BYTES = 200
 
 # key -> (value count, reader of one value); a reader raises ValueError.
 _PARAM_KEYS = {
@@ -142,8 +173,9 @@ def parse_config(text: str) -> tuple[ProcessParams, tuple[DesignEntry, ...]]:
         if len(header) != 2:
             raise ConfigError(header_line, "design stanza needs exactly one name")
         name = header[1]
-        if "/" in name or "\0" in name:
-            raise ConfigError(header_line, f"design name {name!r} is not one file name")
+        if "/" in name or "\0" in name or len(name.encode()) > _MAX_NAME_BYTES:
+            raise ConfigError(header_line, f"design name {name!r} is not one file name "
+                              f"of at most {_MAX_NAME_BYTES} bytes")
         if name in lines:
             raise ConfigError(
                 header_line, f"design {name!r} already defined on line {lines[name]}")

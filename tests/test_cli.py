@@ -78,6 +78,7 @@ def test_gen_rejects_a_broken_config(tmp_path, capsys, text, message):
 UNCARRIED = {
     "dotdot-name": (lambda t: t.replace("design B", "design ../x"), 18),
     "slash-name": (lambda t: t.replace("design B", "design a/b"), 18),
+    "long-name": (lambda t: t.replace("design B", "design " + "B" * 201), 18),
     "r90-gradient": (lambda t: t.replace("gradient 1.0 1.0", "gradient 1 0")
                      .replace("R270", "R90"), 18),
     "default-designs-gradient": (lambda t: "params\n  gradient 1 0\n", 1),
