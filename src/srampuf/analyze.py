@@ -28,7 +28,7 @@ from .biasdetect import (
     autocorrelation,
     bias_direction,
     dominant_period,
-    extract_template,
+    fold_template,
     smooth_template,
     strongest_vector,
 )
@@ -97,8 +97,10 @@ def analyze_dumps(
         # Cycles are sorted and include 0, so index 0 is the enrollment.
         per_chip_wchd = wchd(bits[:, :1], bits[:, 1:]).mean(axis=-1).tolist()
 
+        # Exact integers, so sums / rows is bit for bit rows.mean(axis=0).
+        column_ones = rows.sum(axis=0, dtype=np.int64)
         if profile_mode == "mean":
-            profile = rows.mean(axis=0)
+            profile = column_ones / rows.shape[0]
         else:
             chip_profiles = bits.mean(axis=1)
             profile = chip_profiles[strongest_vector(chip_profiles)]
@@ -111,7 +113,7 @@ def analyze_dumps(
         try:
             autocorr = autocorrelation(profile)
             period = dominant_period(autocorr, profile.size)
-            template = smooth_template(extract_template(rows, period))
+            template = smooth_template(fold_template(column_ones, rows.shape[0], period))
             canonical, _ = canonical_cycle(template)
             bias = BiasReport(
                 detected_period=period,
@@ -217,14 +219,21 @@ def analysis_to_report(run: RunAnalysis) -> dict:
     return {"meta": run.meta, "notes": run.notes, "rows": rows}
 
 
-def _write_columns(path: Path, title: str, values: np.ndarray) -> None:
-    """``title`` then one "index value" line per element, in one write."""
-    values = values.tolist()
+def _write_columns(path: Path, title: str, values: np.ndarray, few_values: bool) -> None:
+    """``title`` then one "index value" line per element, in one write.
+
+    With ``few_values`` each distinct bit pattern is formatted once (%.8f
+    tells -0.0 from 0.0); a mean over R readings takes at most R + 1 values.
+    """
+    if few_values:
+        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts = np.array(["%.8f" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+        values = texts[inverse]
     cells = [None] * (2 * len(values))
     cells[0::2] = range(len(values))
-    cells[1::2] = values
+    cells[1::2] = values.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(title + "%d %.8f\n" * len(values) % tuple(cells))
+        fh.write(title + ("%d %s\n" if few_values else "%d %.8f\n") * len(values) % tuple(cells))
 
 
 def write_plot_data(run: RunAnalysis, plot_dir) -> list[Path]:
@@ -234,10 +243,10 @@ def write_plot_data(run: RunAnalysis, plot_dir) -> list[Path]:
     written = []
     for r in run.results:
         path = out / f"{r.name}_profile.dat"
-        _write_columns(path, "# readout-index one-probability\n", r.profile)
+        _write_columns(path, "# readout-index one-probability\n", r.profile, True)
         written.append(path)
         if r.autocorr is not None:
             path = out / f"{r.name}_autocorr.dat"
-            _write_columns(path, "# lag autocorrelation\n", r.autocorr)
+            _write_columns(path, "# lag autocorrelation\n", r.autocorr, False)
             written.append(path)
     return written

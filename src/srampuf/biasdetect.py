@@ -122,15 +122,19 @@ def extract_template(vectors, period: int) -> np.ndarray:
     in one pass.  Ties resolve to 0.  Raises InsufficientData when any
     phase collects fewer than ``MIN_SAMPLES`` observations in total.
     """
-    if period < 1:
-        raise ValueError(f"period must be positive, got {period}")
     mat = np.atleast_2d(np.asarray(vectors))
     if mat.ndim != 2:
         raise ValueError(f"expected one vector or a 2-d matrix, got shape {mat.shape}")
-    phases = np.arange(mat.shape[1]) % period
-    column_ones = mat.sum(axis=0, dtype=np.int64)
+    return fold_template(mat.sum(axis=0, dtype=np.int64), mat.shape[0], period)
+
+
+def fold_template(column_ones, vectors: int, period: int) -> np.ndarray:
+    """``extract_template`` of ``vectors`` rows, given only their column sums."""
+    if period < 1:
+        raise ValueError(f"period must be positive, got {period}")
+    phases = np.arange(len(column_ones)) % period
     ones = np.bincount(phases, weights=column_ones, minlength=period)
-    total = mat.shape[0] * np.bincount(phases, minlength=period)
+    total = vectors * np.bincount(phases, minlength=period)
     if total.min() < MIN_SAMPLES:
         raise InsufficientData(
             f"only {int(total.min())} samples in the thinnest of {period} phases"

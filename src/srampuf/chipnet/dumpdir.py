@@ -5,8 +5,9 @@ written together.  ``manifest.txt`` adds a ``server_cycle <chip> <cycle>
 <index>`` line for each power-up the server counted under another index.
 
 The reader finds dumps by the names ``dump_filename`` gives and refuses any
-other ``.pufdump`` name.  It reads each dump once, and checks the header
-against the file name and the design's first dump in that read.
+other ``.pufdump`` name.  It reads each dump once, checks the header
+against the file name and the design's first dump in that read, and
+decodes it straight to bits (``decode_bits``), with no word values between.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import itertools
 import re
 from contextlib import contextmanager
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from ..biasdetect import InsufficientData
 from ..floorplan import format_config, load_config
 from ..simchip import DesignEntry, ProcessParams
-from .dumpfile import DumpFormatError, DumpHeader, format_dump, parse_dump, words_to_bits
+from .dumpfile import DumpFormatError, DumpHeader, decode_bits, format_dump
 
 MANIFEST_NAME = "manifest.txt"
 FLOORPLAN_NAME = "floorplan.cfg"
@@ -115,16 +115,17 @@ def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.n
         for j, cycle in enumerate(cycles):
             path = files[(chip, cycle)]
             with _named(path):
-                header, words = parse_dump(path.read_bytes())
-            expected = replace(first or header, design=design, chip=chip, cycle=cycle)
-            for f in fields(DumpHeader):
-                if getattr(header, f.name) != getattr(expected, f.name):
-                    source = "its file name" if f.name in _NAMED else f"other {design} dumps"
-                    raise InsufficientData(f"{path.name}: {f.name} disagrees with {source}")
+                header, matrix = decode_bits(path.read_bytes())
+            got = vars(header)  # field name -> value, in field order
+            expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
+            if got != expected:
+                name = next(key for key in got if got[key] != expected[key])
+                source = "its file name" if name in _NAMED else f"other {design} dumps"
+                raise InsufficientData(f"{path.name}: {name} disagrees with {source}")
             if first is None:
                 first = header
                 bits = np.empty((len(chips), len(cycles), header.depth * header.width), np.uint8)
-            bits[i, j] = words_to_bits(words, header.width).reshape(-1)
+            bits[i, j] = matrix.reshape(-1)
     return first, bits
 
 

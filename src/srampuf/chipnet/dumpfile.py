@@ -13,9 +13,12 @@ field is ceil(w/4) digits wide with bit w-1 as the most significant bit.
 Widths run 1-64 and depths 1-65,536 (addresses are four hex digits); the
 writer and the header parser both refuse any other geometry.
 
-``format_dump`` is the format.  The parser's fast path decodes the digit
-columns at their fixed offsets and keeps the result only when
-``format_dump`` writes the input back byte for byte.  Everything else goes
+``format_dump`` is the format.  ``decode_dump`` gives each word's
+big-endian bytes, which ``parse_dump`` views as words and ``decode_bits``
+unpacks straight into bits.  Its fast path decodes the digit columns at
+their fixed offsets and keeps the result only when the input is what
+``format_dump`` writes: the same header lines, addresses, separators and
+newlines, lowercase hex and no bit past the width.  Everything else goes
 to a line-by-line regex loop, which also accepts CRLF line ends and a
 missing final newline, and names the first bad line in its error.
 """
@@ -23,6 +26,7 @@ missing final newline, and names the first bad line in its error.
 from __future__ import annotations
 
 import binascii
+import functools
 import re
 from dataclasses import dataclass
 
@@ -79,6 +83,25 @@ def _hex_digits(values: np.ndarray) -> np.ndarray:
     return digits.reshape(values.size, -1)
 
 
+def _header_lines(header: DumpHeader) -> list[str]:
+    return [
+        MAGIC,
+        f"#design {header.design} depth={header.depth} width={header.width} "
+        f"mux={header.mux} orient={header.orient} class={header.speed_class}",
+        f"#chip {header.chip} cycle {header.cycle}",
+    ]
+
+
+@functools.lru_cache(maxsize=8)
+def _blank_body(depth: int, digits: int) -> bytes:
+    """Body lines ``aaaa: 00...`` and a newline for ``depth`` words of ``digits`` digits."""
+    body = np.full((depth, digits + 7), ord("0"), dtype=np.uint8)
+    body[:, :4] = _hex_digits(np.arange(depth, dtype=">u2"))
+    body[:, 4:6] = (ord(":"), ord(" "))
+    body[:, -1] = ord("\n")
+    return body.tobytes()
+
+
 def format_dump(header: DumpHeader, words) -> str:
     _check_geometry(header)
     arr = np.asarray(words, dtype=np.uint64)
@@ -86,20 +109,11 @@ def format_dump(header: DumpHeader, words) -> str:
         raise DumpFormatError(f"{arr.size} words for depth {header.depth}")
     if header.width < 64 and (arr >> np.uint64(header.width)).any():
         raise DumpFormatError(f"a word is wider than {header.width} bits")
-    lines = [
-        MAGIC,
-        f"#design {header.design} depth={header.depth} width={header.width} "
-        f"mux={header.mux} orient={header.orient} class={header.speed_class}",
-        f"#chip {header.chip} cycle {header.cycle}",
-    ]
-    # Body lines are fixed width, "aaaa: hhhh\n", so the body is one byte array.
+    # Body lines are fixed width, so the body is the blank one with the digits filled in.
     digits = word_hex_width(header.width)
-    body = np.full((arr.size, digits + 7), ord(" "), dtype=np.uint8)
-    body[:, :4] = _hex_digits(np.arange(arr.size, dtype=">u2"))
-    body[:, 4] = ord(":")
+    body = np.frombuffer(bytearray(_blank_body(arr.size, digits)), np.uint8).reshape(arr.size, -1)
     body[:, 6:-1] = _hex_digits(arr.astype(">u8"))[:, 16 - digits:]
-    body[:, -1] = ord("\n")
-    return "\n".join(lines) + "\n" + body.tobytes().decode("ascii")
+    return "\n".join(_header_lines(header)) + "\n" + body.tobytes().decode("ascii")
 
 
 def parse_header(lines: list[str]) -> DumpHeader:
@@ -126,30 +140,50 @@ def parse_header(lines: list[str]) -> DumpHeader:
 
 def parse_dump(data: str | bytes) -> tuple[DumpHeader, np.ndarray]:
     """Header and word values of a dump given as text or as UTF-8 bytes."""
-    raw = data.encode("utf-8") if isinstance(data, str) else data
-    return _parse_fixed_width(raw) or _parse_lines(raw.decode("utf-8"))
+    header, octets = decode_dump(data.encode("utf-8") if isinstance(data, str) else data)
+    words = np.pad(octets, ((0, 0), (8 - octets.shape[1], 0))).view(">u8").reshape(-1)
+    return header, words.astype(np.uint64)
+
+
+def decode_bits(raw: bytes) -> tuple[DumpHeader, np.ndarray]:
+    """Header and (depth, width) bit matrix of a dump; bit b of each word in column b."""
+    header, octets = decode_dump(raw)
+    return header, np.unpackbits(octets[:, ::-1], axis=1, bitorder="little")[:, :header.width]
+
+
+def decode_dump(raw: bytes) -> tuple[DumpHeader, np.ndarray]:
+    """Header and the big-endian bytes of each word, shaped (depth, ceil(width/8))."""
+    if fast := _parse_fixed_width(raw):
+        return fast
+    header, words = _parse_lines(raw.decode("utf-8"))
+    octets = words.astype(">u8").view(np.uint8).reshape(header.depth, 8)
+    return header, octets[:, 8 - (header.width + 7) // 8:]
 
 
 def _parse_fixed_width(raw: bytes) -> tuple[DumpHeader, np.ndarray] | None:
-    """Header and words if format_dump writes ``raw`` back byte for byte, else None."""
+    """decode_dump's result if format_dump writes ``raw`` back byte for byte, else None."""
     parts = raw.split(b"\n", 3)
     if len(parts) < 4:
         return None
     try:
-        header = parse_header([part.decode("ascii") for part in parts[:3]])
-        digits = word_hex_width(header.width)
-        body = np.frombuffer(parts[3], dtype=np.uint8)
-        if body.size != header.depth * (digits + 7):
-            return None
-        # Left-pad each word to 16 digits, then read it as a big-endian uint64.
-        padded = np.full((header.depth, 16), ord("0"), dtype=np.uint8)
-        padded[:, 16 - digits:] = body.reshape(header.depth, digits + 7)[:, 6:-1]
-        words = np.frombuffer(binascii.unhexlify(padded.tobytes()), dtype=">u8").astype(np.uint64)
-        if format_dump(header, words).encode("ascii") == raw:
-            return header, words
-    except (UnicodeDecodeError, binascii.Error, DumpFormatError):
-        pass
-    return None
+        head = [part.decode("ascii") for part in parts[:3]]
+        header = parse_header(head)
+        digits, size = word_hex_width(header.width), (header.width + 7) // 8
+        body = np.frombuffer(parts[3], dtype=np.uint8).reshape(header.depth, digits + 7)
+        # Left-pad each word to whole bytes and read its digits as big-endian bytes.
+        padded = np.full((header.depth, 2 * size), ord("0"), dtype=np.uint8)
+        padded[:, 2 * size - digits:] = body[:, 6:-1]
+        packed = binascii.unhexlify(hexed := padded.tobytes())
+    except ValueError:  # not ASCII, a bad header, a body of another length, a non-hex digit
+        return None
+    blank = body.copy()
+    blank[:, 6:-1] = ord("0")
+    octets = np.frombuffer(packed, dtype=np.uint8).reshape(header.depth, size)
+    if (head != _header_lines(header) or blank.tobytes() != _blank_body(header.depth, digits)
+            or binascii.hexlify(packed) != hexed  # uppercase digits
+            or header.width % 8 and (octets[:, 0] >> header.width % 8).any()):
+        return None
+    return header, octets
 
 
 def _parse_lines(text: str) -> tuple[DumpHeader, np.ndarray]:

@@ -24,6 +24,8 @@ and reader; ``format_config`` writes the canonical form.
 
 from __future__ import annotations
 
+import math
+
 from .chipnet import protocol as wire
 from .layout import Geometry, LayoutError, Orientation, PlacedMacro
 from .patterns import parse_run_length
@@ -79,6 +81,12 @@ def _speed(text: str) -> str:
     return text
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _pattern(text: str) -> str:
     parse_run_length(text)
     return text
@@ -91,10 +99,10 @@ _MAX_NAME_BYTES = 200
 
 # key -> (value count, reader of one value); a reader raises ValueError.
 _PARAM_KEYS = {
-    "sigma_mismatch": (1, float),
-    "sigma_noise": (1, float),
-    "beta": (1, float),
-    "gradient": (2, float),
+    "sigma_mismatch": (1, _finite),
+    "sigma_noise": (1, _finite),
+    "beta": (1, _finite),
+    "gradient": (2, _finite),
 }
 # In _entry's argument order; class and origin have defaults.
 _DESIGN_KEYS = {

@@ -19,6 +19,7 @@ seeds give bit-identical devices and snapshots in any evaluation order.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,9 @@ class ProcessParams:
     gradient: tuple[float, float] = DEFAULT_GRADIENT
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not all(map(math.isfinite, value if name == "gradient" else (value,))):
+                raise ValueError(f"{name} {value!r} is not finite")
         if self.sigma_mismatch <= 0:
             raise ValueError("sigma_mismatch must be positive")
         if self.sigma_noise < 0:

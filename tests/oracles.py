@@ -3,9 +3,11 @@
 Everything here deliberately avoids the package's own code paths: direct
 summation instead of FFT, per-phase folding instead of spectral peaks,
 string assembly instead of integer shifting.  Slow but obviously correct.
-The scripted session of criterion 6 lives here too: sent one command at a
-time, it is the reference transcript that pipelined sends must reproduce.
-So does the strategy for random floorplans inside the wire limits.
+The plot-file writer that formats every value with its own ``%.8f`` gives
+the reference bytes for plot files.  The scripted session of criterion 6
+lives here too: sent one command at a time, it is the reference transcript
+that pipelined sends must reproduce.  So does the strategy for random
+floorplans inside the wire limits.
 """
 
 from __future__ import annotations
@@ -117,6 +119,16 @@ def parse_dump_lines(text):
         assert int(address, 16) == addr
         words.append(int(word, 16))
     return np.array(words, dtype=np.uint64)
+
+
+def write_columns(path, title, values):
+    """The plot-file writer that formats every value anew: the reference bytes."""
+    values = values.tolist()
+    cells = [None] * (2 * len(values))
+    cells[0::2] = range(len(values))
+    cells[1::2] = values
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(title + "%d %.8f\n" * len(values) % tuple(cells))
 
 
 def scripted_commands(n=1000):

@@ -5,14 +5,17 @@ import collections
 import io
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import majority_template, parse_rendered_table
+from oracles import majority_template, parse_rendered_table, write_columns
 from srampuf.analyze import (
+    PROFILE_MODES,
     MissingBaseline,
     REFERENCE_TOTAL_BITS,
+    RunAnalysis,
     analysis_to_report,
     analyze_dumps,
     scan_dump_dir,
@@ -29,6 +32,7 @@ from srampuf.chipnet.dumpdir import dump_filename, write_cycle
 from srampuf.chipnet.dumpfile import (
     DumpHeader,
     bits_to_words,
+    decode_bits,
     format_dump,
     parse_dump,
     words_to_bits,
@@ -229,9 +233,9 @@ def test_analyze_reads_each_dump_once_and_scan_opens_none(tmp_path, monkeypatch)
 
     def counted(data):
         reads[names[data]] += 1
-        return parse_dump(data)
+        return decode_bits(data)
 
-    monkeypatch.setattr(dumpdir, "parse_dump", counted)
+    monkeypatch.setattr(dumpdir, "decode_bits", counted)
     analyze_dumps(tmp_path, baseline="A")
     assert reads == {path.name: 1 for path in dumps}
 
@@ -323,6 +327,45 @@ def test_write_plot_data(small_analysis, tmp_path):
     assert len(profile) == 128 * 64 + 1
     index, value = profile[1].split()
     assert index == "0" and 0.0 <= float(value) <= 1.0
+
+
+# Values "%.8f" prints differently though np.unique or == would merge them,
+# values it prints alike, and exact binary ties at the eighth decimal.
+EDGE_VALUES = [-0.0, 0.0, 1.0, -1e-12, 1e-12, 2**-9, 3 * 2**-9, 1 - 2**-9, -(2**-9),
+               0.125, 0.5, 1 / 3, 2 / 3, 0.375 + 2**-30, float("nan"), float("inf")]
+
+
+def _oracle_plot_bytes(result, tmp_path):
+    files = {f"{result.name}_profile.dat": ("# readout-index one-probability\n", result.profile)}
+    if result.autocorr is not None:
+        files[f"{result.name}_autocorr.dat"] = ("# lag autocorrelation\n", result.autocorr)
+    for name, (title, values) in files.items():
+        write_columns(tmp_path / name, title, values)
+    return {name: (tmp_path / name).read_bytes() for name in files}
+
+
+@pytest.mark.parametrize("mode", PROFILE_MODES)
+def test_plot_files_match_the_per_value_writer(small_run, tmp_path, mode):
+    run = analyze_dumps(small_run["dumps"], profile_mode=mode)
+    written = write_plot_data(run, tmp_path / "plots")
+    (tmp_path / "want").mkdir()
+    want = {}
+    for r in run.results:
+        want.update(_oracle_plot_bytes(r, tmp_path / "want"))
+    assert {p.name: p.read_bytes() for p in written} == want
+
+
+def test_plot_files_match_the_per_value_writer_on_edge_values(small_analysis, tmp_path):
+    values = np.array(EDGE_VALUES * 3)
+    np.random.default_rng(5).shuffle(values)
+    for autocorr in (values, None):
+        result = replace(small_analysis.results[0], profile=values, autocorr=autocorr)
+        out = tmp_path / f"plots{autocorr is None}"
+        written = write_plot_data(RunAnalysis(meta={}, notes=[], results=[result]), out)
+        want = _oracle_plot_bytes(result, tmp_path)
+        assert {p.name: p.read_bytes() for p in written} == want
+    text = (out / f"{result.name}_profile.dat").read_text()
+    assert " -0.00000000\n" in text and " 0.00000000\n" in text and " 0.00195312\n" in text
 
 
 # -- report rendering ----------------------------------------------------

@@ -74,6 +74,20 @@ def test_gen_rejects_a_broken_config(tmp_path, capsys, text, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, values", [("sigma_mismatch", "{}"), ("sigma_noise", "{}"),
+                                         ("beta", "{}"), ("gradient", "{} 1"),
+                                         ("gradient", "1 {}")])
+def test_gen_refuses_a_non_finite_parameter(tmp_path, capsys, key, values, value):
+    plan = tmp_path / "plan.cfg"
+    plan.write_text(f"# plan\n\nparams\n  {key} {values.format(value)}\n", encoding="utf-8")
+    out = tmp_path / "out.cfg"
+    assert main(["gen", "--config", str(plan), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: line 4: key {key!r}: {value!r} is not finite\n"
+    assert not out.exists()
+
+
 # Line 18 of format_config(PARAMS, SMALL) is "design B".
 UNCARRIED = {
     "dotdot-name": (lambda t: t.replace("design B", "design ../x"), 18),

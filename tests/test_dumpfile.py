@@ -16,6 +16,7 @@ from srampuf.chipnet.dumpfile import (
     _parse_fixed_width,
     _parse_lines,
     bits_to_words,
+    decode_bits,
     format_dump,
     parse_dump,
     parse_header,
@@ -159,6 +160,9 @@ WIDE_TEXT = format_dump(WIDE, [0x3FF, 0x000, 0x2A5, 0x15A, 0x001, 0x200])
         (lambda t: t.replace("0001: 000", "0001: 00 "), "bad body line 1: '0001: 00 '"),
         (lambda t: t.replace("0005: 200", "0005:0200"), "bad body line 5: '0005:0200'"),
         (lambda t: t.replace("0005: 200\n", "0005: 200\n\n"), "7 body lines for depth 6"),
+        # headers the loop reads alike, though the writer never writes them
+        (lambda t: t.replace("depth=6", "depth=06"), None),
+        (lambda t: t.replace("#chip 0 ", "#chip 00 "), None),
     ],
 )
 def test_fixed_width_parse_falls_back_to_the_line_loop(mutate, expected):
@@ -206,6 +210,14 @@ def test_parse_dump_agrees_with_the_line_loop_on_mutated_dumps(data):
     reference = _outcome(_parse_lines, text)
     assert _outcome(parse_dump, text) == reference
     assert _outcome(parse_dump, raw) == reference
+    # The path analyze reads: the same bits as the line loop's words, or the same error.
+    bits = reference if reference[0] == "error" else (
+        reference[0], words_to_bits(reference[1], reference[0].width).tolist())
+    assert _outcome(decode_bits, raw) == bits
+    # The fast path takes exactly the bytes the writer writes.
+    if reference[0] != "error":
+        written = format_dump(*reference).encode("ascii")
+        assert (_parse_fixed_width(raw) is None) == (raw != written)
     if mutation == "none":
         assert reference[0] == header
         assert reference[1] == parse_dump_lines(text).tolist() == words.tolist()

@@ -224,6 +224,34 @@ def test_an_unreadable_value_is_refused_on_the_key_line(key):
     assert f"key {key!r}: " in message and repr(values.split()[-1]) in message
 
 
+# Values float() reads that are not finite: before they were refused, a NaN
+# gradient gave every orientation the sign -1, and so a wrong BD column.
+NON_FINITE = ["nan", "-NaN", "inf", "-inf", "Infinity"]
+# (key, its values with {} for the one that is not finite)
+FLOAT_KEYS = [("sigma_mismatch", "{}"), ("sigma_noise", "{}"), ("beta", "{}"),
+              ("gradient", "{} 1"), ("gradient", "1 {}")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("key, values", FLOAT_KEYS)
+def test_a_non_finite_parameter_is_refused_on_the_key_line(key, values, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"# plan\n\nparams\n  {key} {values.format(value)}\n")
+    assert exc.value.line == 4
+    assert str(exc.value) == f"line 4: key {key!r}: {value!r} is not finite"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["sigma_mismatch", "sigma_noise", "beta", "gradient"])
+def test_process_params_refuse_non_finite_values(field, value):
+    kwargs = {field: (1.0, value) if field == "gradient" else value}
+    with pytest.raises(ValueError, match=f"{field} .* is not finite"):
+        ProcessParams(**kwargs)
+    if field == "gradient":
+        with pytest.raises(ValueError, match="gradient .* is not finite"):
+            ProcessParams(gradient=(value, 1.0))
+
+
 @pytest.mark.parametrize("name", ["../x", "a/b", "a\0b", "x" * 201, "\u00e9" * 101])
 def test_a_design_name_that_is_not_one_file_name_is_refused(name):
     with pytest.raises(ConfigError) as exc:
