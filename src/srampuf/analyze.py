@@ -219,34 +219,89 @@ def analysis_to_report(run: RunAnalysis) -> dict:
     return {"meta": run.meta, "notes": run.notes, "rows": rows}
 
 
-def _write_columns(path: Path, title: str, values: np.ndarray, few_values: bool) -> None:
-    """``title`` then one "index value" line per element, in one write.
+# Element i holds the ASCII bytes of "%04d" % i, so one gather moves four digits.
+_DIGITS4 = np.stack([np.tile(np.repeat(np.frombuffer(b"0123456789", dtype=np.uint8), 10**k),
+                             10 ** (3 - k)) for k in (3, 2, 1, 0)],
+                    axis=1).view(np.uint32).ravel()
 
-    With ``few_values`` each distinct bit pattern is formatted once (%.8f
-    tells -0.0 from 0.0); a mean over R readings takes at most R + 1 values.
+
+def _index_digits(n: int) -> np.ndarray:
+    """Zero-padded decimal digits of 0..n-1 as ASCII, one uint8 row per number."""
+    groups = []
+    rest = np.arange(n)
+    while True:
+        rest, low = np.divmod(rest, 10_000)
+        groups.insert(0, _DIGITS4[low].view(np.uint8).reshape(n, 4))
+        if not rest.any():
+            return np.concatenate(groups, axis=1)
+
+
+def _write_columns(path: Path, title: str, values: np.ndarray, index_digits: np.ndarray) -> None:
+    """``title`` then one "%d %.8f" line per element, in one write.
+
+    ``index_digits`` holds at least ``len(values)`` rows of ``_index_digits``.
+    A value that rounds below ten in magnitude prints from its count of
+    1e-8 units, exactly as "%.8f" rounds it; when any value is NaN,
+    infinite or larger, the whole file takes "%" itself.
     """
-    if few_values:
-        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        texts = np.array(["%.8f" % v for v in distinct.view(np.float64).tolist()], dtype=object)
-        values = texts[inverse]
-    cells = [None] * (2 * len(values))
-    cells[0::2] = range(len(values))
-    cells[1::2] = values.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(title + ("%d %s\n" if few_values else "%d %.8f\n") * len(values) % tuple(cells))
+    scaled = np.abs(values) * 1e8
+    units = np.rint(scaled)
+    if not (units < 1e9).all():
+        cells = [None] * (2 * len(values))
+        cells[0::2] = range(len(values))
+        cells[1::2] = values.tolist()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(title + "%d %.8f\n" * len(values) % tuple(cells))
+        return
+    # rint sees the product rounded to a double, "%.8f" the exact value.
+    # Rounding is monotonic and every half unit below 1e9 is a double, so
+    # the two differ only where the product is exactly a half unit (the
+    # double nearest 0.123456785 gives 12345678.5): such rows take "%.8f".
+    for i in np.flatnonzero(np.abs(scaled - units) == 0.5).tolist():
+        units[i] = int((b"%.8f" % abs(values[i])).replace(b".", b""))
+    whole, fraction = np.divmod(units.astype(np.int64), 10**8)
+    high, low = np.divmod(fraction, 10**4)
+    negative = np.signbit(values)  # -0.0 and -1e-12 print as -0.00000000
+    signed = bool(negative.any())
+    # Each row: " ", a sign column only when some value is negative (NUL
+    # beside the others), the units digit, ".", eight digits and "\n".
+    tail = np.empty((len(values), 12 + signed), dtype=np.uint8)
+    tail[:, 0] = ord(" ")
+    if signed:
+        tail[:, 1] = np.where(negative, ord("-"), 0)
+    tail[:, -11] = whole + ord("0")
+    tail[:, -10] = ord(".")
+    tail[:, -9:-5].view(np.uint32)[:, 0] = _DIGITS4[high]
+    tail[:, -5:-1].view(np.uint32)[:, 0] = _DIGITS4[low]
+    tail[:, -1] = ord("\n")
+    blocks = [np.frombuffer(title.encode(), dtype=np.uint8)]
+    width, start = 1, 0
+    while start < len(values):  # one block per index width: 0-9, 10-99, ...
+        stop = min(10**width, len(values))
+        blocks.append(np.concatenate([index_digits[start:stop, -width:], tail[start:stop]],
+                                     axis=1).ravel())
+        width, start = width + 1, stop
+    text = np.concatenate(blocks)
+    if signed:
+        text = text[text != 0]
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def write_plot_data(run: RunAnalysis, plot_dir) -> list[Path]:
     """Per-design profile and autocorrelation as two-column text files."""
     out = Path(plot_dir)
     out.mkdir(parents=True, exist_ok=True)
+    index_digits = _index_digits(max((len(v) for r in run.results
+                                      for v in (r.profile, r.autocorr) if v is not None),
+                                     default=0))
     written = []
     for r in run.results:
         path = out / f"{r.name}_profile.dat"
-        _write_columns(path, "# readout-index one-probability\n", r.profile, True)
+        _write_columns(path, "# readout-index one-probability\n", r.profile, index_digits)
         written.append(path)
         if r.autocorr is not None:
             path = out / f"{r.name}_autocorr.dat"
-            _write_columns(path, "# lag autocorrelation\n", r.autocorr, False)
+            _write_columns(path, "# lag autocorrelation\n", r.autocorr, index_digits)
             written.append(path)
     return written

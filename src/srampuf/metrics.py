@@ -71,7 +71,11 @@ def fhw(bits) -> float:
 
 
 def _per_reading(values: np.ndarray):
-    """A float for a single reading, the array for a stack of them."""
+    """A float for a single reading, the array for a stack of them.
+
+    Callers pass exact integer counts over the bit count: below 2**53 that
+    is bit for bit the float64 ``mean`` of the 0/1 values.
+    """
     return float(values) if values.ndim == 0 else values
 
 
@@ -87,7 +91,7 @@ def wchd(enrollment, reconstruction):
         raise LengthMismatch(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     if a.shape[-1] == 0:
         raise EmptyInput("empty bit arrays")
-    return _per_reading(np.not_equal(a, b).mean(axis=-1))
+    return _per_reading(np.not_equal(a, b).sum(axis=-1, dtype=np.int64) / a.shape[-1])
 
 
 def mhw(response, template):
@@ -108,7 +112,8 @@ def mhw(response, template):
             f"response of {arr.shape[-1]} bits is shorter than one {cyc.size}-bit period"
         )
     tiled = np.tile(cyc, usable // cyc.size)
-    return _per_reading(np.bitwise_xor(arr[..., :usable], tiled).mean(axis=-1))
+    return _per_reading(np.bitwise_xor(arr[..., :usable], tiled).sum(axis=-1, dtype=np.int64)
+                        / usable)
 
 
 def min_entropy_by_one_probability(p: float) -> float:

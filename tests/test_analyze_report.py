@@ -9,6 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import majority_template, parse_rendered_table, write_columns
 from srampuf.analyze import (
@@ -19,6 +22,8 @@ from srampuf.analyze import (
     analysis_to_report,
     analyze_dumps,
     scan_dump_dir,
+    _index_digits,
+    _write_columns,
     write_plot_data,
 )
 from srampuf.biasdetect import (
@@ -358,14 +363,53 @@ def test_plot_files_match_the_per_value_writer(small_run, tmp_path, mode):
 def test_plot_files_match_the_per_value_writer_on_edge_values(small_analysis, tmp_path):
     values = np.array(EDGE_VALUES * 3)
     np.random.default_rng(5).shuffle(values)
+    # NaN or infinity sends a whole file through "%": the profile leaves them out.
+    finite = values[np.isfinite(values)]
     for autocorr in (values, None):
-        result = replace(small_analysis.results[0], profile=values, autocorr=autocorr)
+        result = replace(small_analysis.results[0], profile=finite, autocorr=autocorr)
         out = tmp_path / f"plots{autocorr is None}"
         written = write_plot_data(RunAnalysis(meta={}, notes=[], results=[result]), out)
         want = _oracle_plot_bytes(result, tmp_path)
         assert {p.name: p.read_bytes() for p in written} == want
     text = (out / f"{result.name}_profile.dat").read_text()
     assert " -0.00000000\n" in text and " 0.00000000\n" in text and " 0.00195312\n" in text
+
+
+# Values the digit path prints: signed zeros, subnormals, the last units
+# below ten, k/2**m grid points (exact binary ties at the eighth decimal
+# from m = 9 on), the doubles nearest a decimal half unit (whose product
+# with 1e8 often rounds to the half unit itself) and plain floats of both
+# signs.
+PRINTED = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-12]),
+    st.floats(10 - 1e-8, 10, exclude_max=True),
+    st.floats(-10, -10 + 1e-8, exclude_min=True),
+    st.builds(lambda k, m: k / 2**m, st.integers(-5119, 5119), st.integers(0, 14)),
+    st.builds(lambda k: (2 * k + 1) / 200_000_000, st.integers(-10**9, 10**9 - 1)),
+    st.floats(-10, 10, exclude_min=True, exclude_max=True),
+)
+# Any one of these sends the whole file through "%".
+LEFT_TO_PERCENT = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10.0, -10.0]),
+    st.floats(10, 1e300), st.floats(-1e300, -10),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.sampled_from([0, 1, 9, 10, 11, 100, 1001]), data=st.data(),
+       spare_rows=st.sampled_from([0, 1, 2000]))
+def test_write_columns_matches_the_per_value_writer(tmp_path, n, data, spare_rows):
+    values = data.draw(arrays(np.float64, n, elements=PRINTED, fill=PRINTED))
+    cases = [values]
+    if n:
+        wide = values.copy()
+        wide[data.draw(st.integers(0, n - 1))] = data.draw(LEFT_TO_PERCENT)
+        cases.append(wide)
+    for v in cases:
+        _write_columns(tmp_path / "got", "# t\n", v, _index_digits(n + spare_rows))
+        write_columns(tmp_path / "want", "# t\n", v)
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
 
 # -- report rendering ----------------------------------------------------

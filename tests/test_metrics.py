@@ -112,6 +112,25 @@ def test_mhw_of_unbiased_random_response():
     assert abs(mhw(response, template) - 0.5) < 0.01
 
 
+def test_wchd_and_mhw_equal_the_float_mean_exactly():
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 6, size=rng.integers(0, 3))) + (int(rng.integers(1, 3000)),)
+        one_probability = rng.random()
+        a = rng.random(shape) < one_probability
+        b = (rng.random(shape) < one_probability).astype(np.uint8)
+        enrollment = a[..., :1, :] if a.ndim > 1 else a
+        template = (rng.random(int(rng.integers(1, shape[-1] + 1))) < 0.5).astype(np.uint8)
+        usable = shape[-1] // template.size * template.size
+        tiled = np.tile(template, usable // template.size)
+        for got, want in ((wchd(enrollment, b), np.not_equal(enrollment, b).mean(axis=-1)),
+                          (mhw(b, template), np.bitwise_xor(b[..., :usable], tiled).mean(axis=-1))):
+            if len(shape) == 1:
+                assert type(got) is float and got == float(want)
+            else:
+                assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
 def test_min_entropy_endpoints():
     assert min_entropy_by_one_probability(0.5) == 1.0
     assert min_entropy_by_one_probability(0.0) == 0.0
