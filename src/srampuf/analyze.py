@@ -6,11 +6,11 @@ autocorrelation, the dominant bias period and majority template, masked
 Hamming weight against that template, per-bit min-entropy endpoints, and
 the bias direction relative to a baseline design.
 
-Each design's dumps load, one read per file, into a ``(chips, cycles,
-cells)`` uint8 bit tensor, and every statistic is a reduction over its
-axes: one ``wchd`` call per design compares all reconstructions with their
-enrollment, one ``mhw`` call covers every reading, and the template folds
-the column sums of all readings at once.
+Each design's dumps load, one read per file and decoded as one stack, into
+a ``(chips, cycles, cells)`` uint8 bit tensor, and every statistic is an
+exact integer reduction over its axes: one ``wchd`` call per design compares
+all reconstructions with their enrollment, one ``mhw`` call covers every
+reading, and the template folds the column sums of all readings at once.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def analyze_dumps(
         per_chip_wchd = wchd(bits[:, :1], bits[:, 1:]).mean(axis=-1).tolist()
 
         # Exact integers, so sums / rows is bit for bit rows.mean(axis=0).
-        column_ones = rows.sum(axis=0, dtype=np.int64)
+        column_ones = rows.sum(axis=0, dtype=np.uint32)
         if profile_mode == "mean":
             profile = column_ones / rows.shape[0]
         else:

@@ -5,9 +5,9 @@ written together.  ``manifest.txt`` adds a ``server_cycle <chip> <cycle>
 <index>`` line for each power-up the server counted under another index.
 
 The reader finds dumps by the names ``dump_filename`` gives and refuses any
-other ``.pufdump`` name.  It reads each dump once, checks the header
-against the file name and the design's first dump in that read, and
-decodes it straight to bits (``decode_bits``), with no word values between.
+other ``.pufdump`` name.  It reads each dump once and checks its header
+against the file name and the design's first dump.  A design's dumps decode
+as one stack, or, if any is not the writer's bytes, one by one.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from ..biasdetect import InsufficientData
 from ..floorplan import format_config, load_config
 from ..simchip import DesignEntry, ProcessParams
-from .dumpfile import DumpFormatError, DumpHeader, decode_bits, format_dump
+from .dumpfile import (DumpFormatError, DumpHeader, decode_bits, decode_bodies, format_dump,
+                       header_text, unpack_octets, written_header)
 
 MANIFEST_NAME = "manifest.txt"
 FLOORPLAN_NAME = "floorplan.cfg"
@@ -109,24 +111,43 @@ def grid(index: dict[str, dict]) -> tuple[list[int], list[int]]:
 
 
 def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.ndarray]:
-    """First header and (chips, cycles, cells) 0/1 tensor, reading each file once."""
+    """First header and (chips, cycles, cells) 0/1 tensor, reading each file once.
+
+    Dumps that are the writer's bytes for their names decode as one stack; else
+    ``decode_bits`` takes the bytes read file by file and raises the first error.
+    """
+    keys = list(itertools.product(chips, cycles))
+    raws, failed = [], None
+    try:
+        for key in keys:
+            raws.append(files[key].read_bytes())
+    except OSError as e:  # raised in its turn, after any error in an earlier dump
+        failed = e
+    first = None if failed else written_header(raws[0])
+    if first is not None:
+        heads = [header_text(replace(first, design=design, chip=chip, cycle=cycle)).encode()
+                 for chip, cycle in keys]
+        bodies = [memoryview(raw)[len(head):] if raw.startswith(head) else b""  # too short
+                  for raw, head in zip(raws, heads)]
+        if (octets := decode_bodies(first, bodies)) is not None:
+            return first, unpack_octets(octets, first.width).reshape(len(chips), len(cycles), -1)
     first = bits = None
-    for i, chip in enumerate(chips):
-        for j, cycle in enumerate(cycles):
-            path = files[(chip, cycle)]
-            with _named(path):
-                header, matrix = decode_bits(path.read_bytes())
-            got = vars(header)  # field name -> value, in field order
-            expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
-            if got != expected:
-                name = next(key for key in got if got[key] != expected[key])
-                source = "its file name" if name in _NAMED else f"other {design} dumps"
-                raise InsufficientData(f"{path.name}: {name} disagrees with {source}")
-            if first is None:
-                first = header
-                bits = np.empty((len(chips), len(cycles), header.depth * header.width), np.uint8)
-            bits[i, j] = matrix.reshape(-1)
-    return first, bits
+    for n, (chip, cycle) in enumerate(keys):
+        if n == len(raws):
+            raise failed
+        with _named(path := files[(chip, cycle)]):
+            header, matrix = decode_bits(raws[n])
+        got = vars(header)  # field name -> value, in field order
+        expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
+        if got != expected:
+            name = next(key for key in got if got[key] != expected[key])
+            source = "its file name" if name in _NAMED else f"other {design} dumps"
+            raise InsufficientData(f"{path.name}: {name} disagrees with {source}")
+        if first is None:
+            first = header
+            bits = np.empty((len(keys), header.depth * header.width), np.uint8)
+        bits[n] = matrix.reshape(-1)
+    return first, bits.reshape(len(chips), len(cycles), -1)
 
 
 def read_plan(dump_dir) -> tuple[ProcessParams | None, int | None]:

@@ -15,12 +15,12 @@ writer and the header parser both refuse any other geometry.
 
 ``format_dump`` is the format.  ``decode_dump`` gives each word's
 big-endian bytes, which ``parse_dump`` views as words and ``decode_bits``
-unpacks straight into bits.  Its fast path decodes the digit columns at
-their fixed offsets and keeps the result only when the input is what
-``format_dump`` writes: the same header lines, addresses, separators and
-newlines, lowercase hex and no bit past the width.  Everything else goes
-to a line-by-line regex loop, which also accepts CRLF line ends and a
-missing final newline, and names the first bad line in its error.
+unpacks straight into bits.  Its fast path, ``decode_bodies``, decodes the
+digit columns of one or many bodies at once and keeps the result only when
+each dump is what ``format_dump`` writes: the same header lines, addresses,
+separators and newlines, lowercase hex and no bit past the width.
+Everything else goes to a line-by-line regex loop, which also accepts CRLF
+line ends and a missing final newline, and names the first bad line.
 """
 
 from __future__ import annotations
@@ -83,13 +83,11 @@ def _hex_digits(values: np.ndarray) -> np.ndarray:
     return digits.reshape(values.size, -1)
 
 
-def _header_lines(header: DumpHeader) -> list[str]:
-    return [
-        MAGIC,
-        f"#design {header.design} depth={header.depth} width={header.width} "
-        f"mux={header.mux} orient={header.orient} class={header.speed_class}",
-        f"#chip {header.chip} cycle {header.cycle}",
-    ]
+def header_text(header: DumpHeader) -> str:
+    """The three header lines ``format_dump`` writes, each ending in a newline."""
+    return (f"{MAGIC}\n#design {header.design} depth={header.depth} width={header.width} "
+            f"mux={header.mux} orient={header.orient} class={header.speed_class}\n"
+            f"#chip {header.chip} cycle {header.cycle}\n")
 
 
 @functools.lru_cache(maxsize=8)
@@ -113,7 +111,7 @@ def format_dump(header: DumpHeader, words) -> str:
     digits = word_hex_width(header.width)
     body = np.frombuffer(bytearray(_blank_body(arr.size, digits)), np.uint8).reshape(arr.size, -1)
     body[:, 6:-1] = _hex_digits(arr.astype(">u8"))[:, 16 - digits:]
-    return "\n".join(_header_lines(header)) + "\n" + body.tobytes().decode("ascii")
+    return header_text(header) + body.tobytes().decode("ascii")
 
 
 def parse_header(lines: list[str]) -> DumpHeader:
@@ -148,42 +146,56 @@ def parse_dump(data: str | bytes) -> tuple[DumpHeader, np.ndarray]:
 def decode_bits(raw: bytes) -> tuple[DumpHeader, np.ndarray]:
     """Header and (depth, width) bit matrix of a dump; bit b of each word in column b."""
     header, octets = decode_dump(raw)
-    return header, np.unpackbits(octets[:, ::-1], axis=1, bitorder="little")[:, :header.width]
+    return header, unpack_octets(octets, header.width)
+
+
+def unpack_octets(octets: np.ndarray, width: int) -> np.ndarray:
+    """(words, width) bit matrix of big-endian word bytes; bit b of each word in column b."""
+    return np.unpackbits(octets[:, ::-1], axis=1, bitorder="little")[:, :width]
 
 
 def decode_dump(raw: bytes) -> tuple[DumpHeader, np.ndarray]:
     """Header and the big-endian bytes of each word, shaped (depth, ceil(width/8))."""
-    if fast := _parse_fixed_width(raw):
-        return fast
+    header = written_header(raw)
+    if header and (octets := decode_bodies(header, [raw[len(header_text(header)):]])) is not None:
+        return header, octets
     header, words = _parse_lines(raw.decode("utf-8"))
     octets = words.astype(">u8").view(np.uint8).reshape(header.depth, 8)
     return header, octets[:, 8 - (header.width + 7) // 8:]
 
 
-def _parse_fixed_width(raw: bytes) -> tuple[DumpHeader, np.ndarray] | None:
-    """decode_dump's result if format_dump writes ``raw`` back byte for byte, else None."""
-    parts = raw.split(b"\n", 3)
-    if len(parts) < 4:
-        return None
+def written_header(raw: bytes) -> DumpHeader | None:
+    """Header of ``raw`` if its first lines are the ones ``format_dump`` writes for it."""
     try:
-        head = [part.decode("ascii") for part in parts[:3]]
-        header = parse_header(head)
-        digits, size = word_hex_width(header.width), (header.width + 7) // 8
-        body = np.frombuffer(parts[3], dtype=np.uint8).reshape(header.depth, digits + 7)
-        # Left-pad each word to whole bytes and read its digits as big-endian bytes.
-        padded = np.full((header.depth, 2 * size), ord("0"), dtype=np.uint8)
-        padded[:, 2 * size - digits:] = body[:, 6:-1]
-        packed = binascii.unhexlify(hexed := padded.tobytes())
-    except ValueError:  # not ASCII, a bad header, a body of another length, a non-hex digit
+        header = parse_header([line.decode("ascii") for line in raw.split(b"\n", 3)[:3]])
+    except ValueError:  # not ASCII, or not a header
         return None
-    blank = body.copy()
-    blank[:, 6:-1] = ord("0")
-    octets = np.frombuffer(packed, dtype=np.uint8).reshape(header.depth, size)
-    if (head != _header_lines(header) or blank.tobytes() != _blank_body(header.depth, digits)
+    return header if raw.startswith(header_text(header).encode("ascii")) else None
+
+
+def decode_bodies(header: DumpHeader, bodies) -> np.ndarray | None:
+    """Big-endian bytes of every word of ``bodies`` (bytes-like), shaped (N * depth,
+    ceil(width/8)), if each is the body ``format_dump`` writes for ``header``, else None."""
+    digits, size = word_hex_width(header.width), (header.width + 7) // 8
+    blank = _blank_body(header.depth, digits)
+    if any(len(body) != len(blank) for body in bodies):
+        return None
+    joined = bytearray().join(bodies)
+    body = np.frombuffer(joined, dtype=np.uint8).reshape(-1, digits + 7)
+    # Left-pad each word to whole bytes and read its digits as big-endian bytes.
+    padded = np.full((body.shape[0], 2 * size), ord("0"), dtype=np.uint8)
+    padded[:, 2 * size - digits:] = body[:, 6:-1]
+    body[:, 6:-1] = ord("0")  # what is left must be the blank body
+    try:
+        packed = binascii.unhexlify(hexed := padded.tobytes())
+    except binascii.Error:  # a non-hex digit
+        return None
+    octets = np.frombuffer(packed, dtype=np.uint8).reshape(-1, size)
+    if (joined != blank * len(bodies)
             or binascii.hexlify(packed) != hexed  # uppercase digits
             or header.width % 8 and (octets[:, 0] >> header.width % 8).any()):
         return None
-    return header, octets
+    return octets
 
 
 def _parse_lines(text: str) -> tuple[DumpHeader, np.ndarray]:

@@ -79,6 +79,14 @@ def _per_reading(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def _ones(bits: np.ndarray) -> np.ndarray:
+    """Exact count of ones along the last axis of 0/1 bytes, eight to a uint64 word."""
+    bits = np.ascontiguousarray(bits)
+    whole = bits.shape[-1] // 8 * 8
+    return (np.bitwise_count(bits[..., :whole].view(np.uint64)).sum(axis=-1, dtype=np.int64)
+            + bits[..., whole:].sum(axis=-1, dtype=np.int64))
+
+
 def wchd(enrollment, reconstruction):
     """Within-class Hamming distance, as a fraction of compared bits.
 
@@ -91,7 +99,7 @@ def wchd(enrollment, reconstruction):
         raise LengthMismatch(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
     if a.shape[-1] == 0:
         raise EmptyInput("empty bit arrays")
-    return _per_reading(np.not_equal(a, b).sum(axis=-1, dtype=np.int64) / a.shape[-1])
+    return _per_reading(_ones(np.bitwise_xor(a, b)) / a.shape[-1])
 
 
 def mhw(response, template):
@@ -112,8 +120,7 @@ def mhw(response, template):
             f"response of {arr.shape[-1]} bits is shorter than one {cyc.size}-bit period"
         )
     tiled = np.tile(cyc, usable // cyc.size)
-    return _per_reading(np.bitwise_xor(arr[..., :usable], tiled).sum(axis=-1, dtype=np.int64)
-                        / usable)
+    return _per_reading(_ones(np.bitwise_xor(arr[..., :usable], tiled)) / usable)
 
 
 def min_entropy_by_one_probability(p: float) -> float:

@@ -4,10 +4,11 @@ Everything here deliberately avoids the package's own code paths: direct
 summation instead of FFT, per-phase folding instead of spectral peaks,
 string assembly instead of integer shifting.  Slow but obviously correct.
 The plot-file writer that formats every value with its own ``%.8f`` gives
-the reference bytes for plot files.  The scripted session of criterion 6
-lives here too: sent one command at a time, it is the reference transcript
-that pipelined sends must reproduce.  So does the strategy for random
-floorplans inside the wire limits.
+the reference bytes for plot files, and a design's dumps read and decoded
+one file at a time give the reference bits and errors of ``load_bits``.
+The scripted session of criterion 6 lives here too: sent one command at a
+time, it is the reference transcript that pipelined sends must reproduce.
+So does the strategy for random floorplans inside the wire limits.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from collections import Counter
 import numpy as np
 from hypothesis import strategies as st
 
+from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet import protocol as wire
+from srampuf.chipnet.dumpdir import _NAMED, _named
+from srampuf.chipnet.dumpfile import decode_bits
 from srampuf.layout import Geometry, Orientation, PlacedMacro
 from srampuf.simchip import DesignEntry
 
@@ -119,6 +123,27 @@ def parse_dump_lines(text):
         assert int(address, 16) == addr
         words.append(int(word, 16))
     return np.array(words, dtype=np.uint64)
+
+
+def load_bits_per_file(design, files, chips, cycles):
+    """``dumpdir.load_bits`` as one read and one ``decode_bits`` per file, in grid order."""
+    first = bits = None
+    for i, chip in enumerate(chips):
+        for j, cycle in enumerate(cycles):
+            path = files[(chip, cycle)]
+            with _named(path):
+                header, matrix = decode_bits(path.read_bytes())
+            got = vars(header)  # field name -> value, in field order
+            expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
+            if got != expected:
+                name = next(key for key in got if got[key] != expected[key])
+                source = "its file name" if name in _NAMED else f"other {design} dumps"
+                raise InsufficientData(f"{path.name}: {name} disagrees with {source}")
+            if first is None:
+                first = header
+                bits = np.empty((len(chips), len(cycles), header.depth * header.width), np.uint8)
+            bits[i, j] = matrix.reshape(-1)
+    return first, bits
 
 
 def write_columns(path, title, values):

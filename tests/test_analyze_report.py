@@ -6,6 +6,7 @@ import io
 import json
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,12 +33,10 @@ from srampuf.biasdetect import (
     smooth_template,
     strongest_vector,
 )
-from srampuf.chipnet import dumpdir
 from srampuf.chipnet.dumpdir import dump_filename, write_cycle
 from srampuf.chipnet.dumpfile import (
     DumpHeader,
     bits_to_words,
-    decode_bits,
     format_dump,
     parse_dump,
     words_to_bits,
@@ -233,14 +232,14 @@ def test_analyze_reads_each_dump_once_and_scan_opens_none(tmp_path, monkeypatch)
         index = scan_dump_dir(tmp_path)
     assert sorted(p for files in index.values() for p in files.values()) == dumps
 
-    names = {path.read_bytes(): path.name for path in dumps}  # headers differ, so bytes do
     reads = collections.Counter()
+    read_bytes = Path.read_bytes
 
-    def counted(data):
-        reads[names[data]] += 1
-        return decode_bits(data)
+    def counted(path):
+        reads[path.name] += 1
+        return read_bytes(path)
 
-    monkeypatch.setattr(dumpdir, "decode_bits", counted)
+    monkeypatch.setattr(Path, "read_bytes", counted)
     analyze_dumps(tmp_path, baseline="A")
     assert reads == {path.name: 1 for path in dumps}
 

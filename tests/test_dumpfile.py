@@ -1,27 +1,36 @@
 """Text dump format: round-trips, filenames, and malformed-input rejection."""
 
+import itertools
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import format_dump_lines, parse_dump_lines
-from srampuf.chipnet import collector, dumpfile
-from srampuf.chipnet.dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, dump_filename
+from oracles import format_dump_lines, load_bits_per_file, parse_dump_lines
+from srampuf.biasdetect import InsufficientData
+from srampuf.chipnet import collector, dumpdir, dumpfile
+from srampuf.chipnet.dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, dump_filename, load_bits
 from srampuf.chipnet.dumpfile import (
     MAGIC,
     DumpFormatError,
     DumpHeader,
-    _parse_fixed_width,
     _parse_lines,
     bits_to_words,
     decode_bits,
+    decode_bodies,
     format_dump,
+    header_text,
     parse_dump,
     parse_header,
     word_hex_width,
     words_to_bits,
+    written_header,
 )
 from srampuf.layout import Geometry, Orientation, PlacedMacro
 from srampuf.simchip import DesignEntry, ProcessParams, power_up, sample_device
@@ -30,6 +39,12 @@ HEADER = DumpHeader(
     design="P1_a", depth=4, width=8, mux=4, orient="R0",
     speed_class="fast", chip=7, cycle=3,
 )
+
+
+def _fast_path(raw: bytes):
+    """The stack decoder's octets for one whole dump; None unless format_dump wrote it."""
+    header = written_header(raw)
+    return None if header is None else decode_bodies(header, [raw[len(header_text(header)):]])
 
 
 def test_dump_filename():
@@ -99,7 +114,7 @@ def test_the_deepest_dump_round_trips():
     words = np.arange(65536, dtype=np.uint64) & np.uint64(1)
     text = format_dump(header, words)
     assert text.endswith("\nfffe: 0\nffff: 1\n")
-    assert _parse_fixed_width(text.encode("ascii")) is not None
+    assert _fast_path(text.encode("ascii")) is not None
     parsed_header, got = parse_dump(text)
     assert parsed_header == header
     assert np.array_equal(got, words)
@@ -175,7 +190,7 @@ def test_fixed_width_parse_falls_back_to_the_line_loop(mutate, expected):
     assert _outcome(parse_dump, text) == reference
     assert _outcome(parse_dump, text.encode("utf-8")) == reference
     # only the untouched dump fits the fixed-width view
-    assert (_parse_fixed_width(text.encode("utf-8")) is None) == (text != WIDE_TEXT)
+    assert (_fast_path(text.encode("utf-8")) is None) == (text != WIDE_TEXT)
 
 
 # Bytes a mutation writes or inserts: uppercase and non-hex digits, a space,
@@ -217,10 +232,89 @@ def test_parse_dump_agrees_with_the_line_loop_on_mutated_dumps(data):
     # The fast path takes exactly the bytes the writer writes.
     if reference[0] != "error":
         written = format_dump(*reference).encode("ascii")
-        assert (_parse_fixed_width(raw) is None) == (raw != written)
+        assert (_fast_path(raw) is None) == (raw != written)
     if mutation == "none":
         assert reference[0] == header
         assert reference[1] == parse_dump_lines(text).tolist() == words.tolist()
+
+
+def _mutate_dump(data, mutation, raw, header):
+    """``raw``, the dump of ``header``, changed by one ``LOAD_MUTATIONS`` entry."""
+    head, digits = len(header_text(header)), word_hex_width(header.width)
+    line = head + (digits + 7) * data.draw(st.integers(0, header.depth - 1), label="line")
+    if mutation == "body byte":
+        at = data.draw(st.integers(head, len(raw) - 1), label="at")
+        return raw[:at] + bytes([data.draw(st.sampled_from(MUTATION_BYTES), label="byte")]) \
+            + raw[at + 1:]
+    if mutation == "uppercase":  # the line's last digit
+        last = line + 5 + digits
+        return raw[:last] + bytes([data.draw(st.sampled_from(b"ABCDEF"), label="digit")]) + raw[last + 1:]
+    if mutation == "past width":  # the line's first digit, whose top bits lie past the width
+        return raw[:line + 6] + b"f" + raw[line + 7:]
+    if mutation == "crlf":
+        return raw.replace(b"\n", b"\r\n")
+    if mutation == "depth=06":
+        return raw.replace(b" depth=", b" depth=0", 1)
+    if mutation == "chip line":
+        return raw.replace(f"#chip {header.chip} ".encode(), f"#chip {header.chip + 5} ".encode())
+    if mutation == "other depth":
+        depth = header.depth + data.draw(st.sampled_from([-1, 1]) if header.depth > 1
+                                         else st.just(1), label="depth change")
+        return format_dump(replace(header, depth=depth), np.zeros(depth, np.uint64)).encode()
+    if mutation == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    return raw
+
+
+LOAD_MUTATIONS = ["none", "body byte", "uppercase", "past width", "crlf", "depth=06",
+                  "chip line", "other depth", "truncate", "directory"]
+
+
+def _load_outcome(load, files, chips, cycles):
+    """What a loader makes of a directory: header and bits, or its error's type and message."""
+    try:
+        header, bits = load("P4_b", files, chips, cycles)
+    except (DumpFormatError, InsufficientData, OSError) as e:
+        return type(e), str(e)
+    return header, bits.dtype, bits.shape, bits.tobytes()
+
+
+@pytest.mark.parametrize("mutation", LOAD_MUTATIONS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_load_bits_matches_the_per_file_oracle_on_a_mutated_dump(mutation, data):
+    width = data.draw(st.integers(1, 64).filter(lambda w: w % 4) if mutation == "past width"
+                      else st.integers(1, 64), label="width")
+    depth = data.draw(st.integers(1, 40), label="depth")
+    chips = list(range(data.draw(st.integers(2, 3), label="chips")))
+    cycles = list(range(data.draw(st.integers(2, 3), label="cycles")))
+    keys = list(itertools.product(chips, cycles))
+    headers = {key: DumpHeader("P4_b", depth, width, 8, "MX", "slow", *key) for key in keys}
+    raws = {key: format_dump(header, data.draw(
+        arrays(np.uint64, depth, elements=st.integers(0, 2**width - 1)), label="words")).encode()
+        for key, header in headers.items()}
+    # The first and the last dump get extra weight: the first sets the geometry.
+    k = data.draw(st.sampled_from([0, len(keys) - 1]) | st.integers(0, len(keys) - 1),
+                  label="dump")
+    if mutation == "directory":  # read after an earlier mutated dump
+        k = max(k, 1)
+        earlier = keys[data.draw(st.integers(0, k - 1), label="earlier dump")]
+        raws[earlier] = _mutate_dump(data, data.draw(st.sampled_from(LOAD_MUTATIONS[1:-1]),
+                                                     label="earlier mutation"),
+                                     raws[earlier], headers[earlier])
+        raws[keys[k]] = None
+    else:
+        raws[keys[k]] = _mutate_dump(data, mutation, raws[keys[k]], headers[keys[k]])
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {key: Path(tmp, dump_filename("P4_b", *key)) for key in keys}
+        for key, raw in raws.items():
+            files[key].mkdir() if raw is None else files[key].write_bytes(raw)
+        with mock.patch.object(dumpdir, "decode_bits", wraps=decode_bits) as per_file:
+            got = _load_outcome(load_bits, files, chips, cycles)
+        assert got == _load_outcome(load_bits_per_file, files, chips, cycles)
+    if mutation == "none":  # written dumps decode as one stack
+        assert per_file.call_count == 0
+        assert got[0] == headers[keys[0]]
 
 
 def test_parse_round_trip():

@@ -114,21 +114,32 @@ def test_mhw_of_unbiased_random_response():
 
 def test_wchd_and_mhw_equal_the_float_mean_exactly():
     rng = np.random.default_rng(20261019)
-    for _ in range(200):
-        shape = tuple(rng.integers(1, 6, size=rng.integers(0, 3))) + (int(rng.integers(1, 3000)),)
+    # Counts go eight cells to a word: short readings, readings around a word
+    # boundary, then random lengths.
+    lengths = [*range(1, 18), 63, 64, 65, *rng.integers(1, 3000, size=200).tolist()]
+    for n in lengths:
+        shape = tuple(rng.integers(1, 6, size=rng.integers(0, 3))) + (n,)
         one_probability = rng.random()
         a = rng.random(shape) < one_probability
         b = (rng.random(shape) < one_probability).astype(np.uint8)
-        enrollment = a[..., :1, :] if a.ndim > 1 else a
-        template = (rng.random(int(rng.integers(1, shape[-1] + 1))) < 0.5).astype(np.uint8)
-        usable = shape[-1] // template.size * template.size
-        tiled = np.tile(template, usable // template.size)
-        for got, want in ((wchd(enrollment, b), np.not_equal(enrollment, b).mean(axis=-1)),
-                          (mhw(b, template), np.bitwise_xor(b[..., :usable], tiled).mean(axis=-1))):
-            if len(shape) == 1:
-                assert type(got) is float and got == float(want)
-            else:
-                assert got.dtype == np.float64 and np.array_equal(got, want)
+        pairs = [(a[..., :1, :] if a.ndim > 1 else a, b)]
+        if b.ndim > 1:  # analyze's slices, and a stack whose last axis is not contiguous
+            pairs += [(b[..., :1, :], b[..., 1:, :]), (a, np.asfortranarray(b))]
+        # A random period, and one that leaves a tail shorter than a word.
+        periods = [int(rng.integers(1, n + 1)), *([3] if n >= 3 else [])]
+        for enrollment, stack in pairs:
+            checks = [(wchd(enrollment, stack), np.not_equal(enrollment, stack).mean(axis=-1))]
+            for period in periods:
+                template = (rng.random(period) < 0.5).astype(np.uint8)
+                usable = n // period * period
+                tiled = np.tile(template, usable // period)
+                checks.append((mhw(stack, template),
+                               np.bitwise_xor(stack[..., :usable], tiled).mean(axis=-1)))
+            for got, want in checks:
+                if len(shape) == 1:
+                    assert type(got) is float and got == float(want)
+                else:
+                    assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 def test_min_entropy_endpoints():
