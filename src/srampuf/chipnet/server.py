@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import signal
 import socket
+import sys
 import threading
 import time
 
@@ -52,8 +53,8 @@ class _Session:
             return wire.encode_error(wire.ERR_NO_CHIP)
         with self.server._lock:
             cycle = self.server._cycles.get(self.chip, 0)
-            self.server._cycles[self.chip] = cycle + 1
             snaps = self.server.bank.snapshots(self.chip, cycle)
+            self.server._cycles[self.chip] = cycle + 1  # only once simulated
         tables = [wire.frames_for_bits(snaps[d.name].bits)
                   for d in self.server.bank.designs]
         error = np.frombuffer(wire.encode_error(wire.ERR_BAD_REQUEST), dtype=np.uint8)
@@ -133,6 +134,9 @@ class _Session:
                     self.conn.sendall(b"".join(out))
         except OSError:
             pass
+        except Exception as exc:  # a fault in one session ends only that session
+            print(f"srampuf serve: session ended: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
         finally:
             with self.server._lock:
                 self.server._sessions.pop(self, None)

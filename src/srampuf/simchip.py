@@ -4,13 +4,16 @@ A bitcell powers up to 1 when its static threshold mismatch, plus a small
 layout-correlated imprint shift, plus fresh per-cycle noise lands above
 zero:
 
-    bit(addr, b) = [ mismatch[addr, b] + imprint[addr * width + b] + n > 0 ]
+    bit(addr, b) = [ latent[addr * width + b] + n > 0 ]
+    latent = mismatch + imprint
 
 ``mismatch`` is frozen per chip at fabrication; ``imprint`` follows the
 design's run-length pattern along the serial readout order, scaled by beta
 and by the orientation sign — the projection of the die-level doping
 gradient onto the macro's local column axis.  Mirrored or counter-rotated
 placements see the gradient from the other side, which flips the imprint.
+A device keeps only their sum, and every chip of a design shares one
+read-only imprint.
 
 All randomness is drawn from streams keyed by hashed seed paths, so equal
 seeds give bit-identical devices and snapshots in any evaluation order.
@@ -18,6 +21,7 @@ seeds give bit-identical devices and snapshots in any evaluation order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -26,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .layout import Geometry, Orientation, PlacedMacro, apply_orientation
-from .patterns import RunLengthPattern, parse_run_length
+from .patterns import parse_run_length
 
 DEFAULT_SIGMA_MISMATCH = 1.0
 DEFAULT_BETA = 0.06
@@ -82,9 +86,6 @@ class DesignEntry:
     def orientation(self) -> Orientation:
         return self.placed.orientation
 
-    def parsed_pattern(self) -> RunLengthPattern:
-        return parse_run_length(self.pattern)
-
 
 def orientation_sign(params: ProcessParams, o: Orientation) -> int:
     """Sign of the gradient component along the placed macro's column axis."""
@@ -99,11 +100,11 @@ def orientation_sign(params: ProcessParams, o: Orientation) -> int:
 
 @dataclass(frozen=True)
 class DeviceArray:
-    """One simulated macro on one chip: static mismatch plus bias imprint."""
+    """One simulated macro on one chip: static mismatch plus bias imprint, kept summed."""
 
     design: DesignEntry
-    mismatch: np.ndarray  # (depth, width) static per-cell mismatch
-    imprint: np.ndarray  # (depth*width,) +-beta along readout order
+    latent: np.ndarray  # (depth*width,) mismatch + imprint along readout order
+    imprint: np.ndarray  # (depth*width,) +-beta, read-only, shared by the design's chips
 
 
 @dataclass(frozen=True)
@@ -117,26 +118,35 @@ class Snapshot:
         return self.bits.reshape(-1)
 
 
+@functools.lru_cache(maxsize=16)  # > the 11 designs a served floorplan holds
+def _imprint(pattern: str, cells: int, scale: float) -> np.ndarray:
+    """Read-only ``scale`` * pattern signs; one array serves every chip of a design."""
+    imprint = scale * parse_run_length(pattern).signs(cells)
+    imprint.flags.writeable = False
+    return imprint
+
+
 def sample_device(entry: DesignEntry, params: ProcessParams, chip_seed: int) -> DeviceArray:
     """Fabricate one chip's instance of a design from a keyed random stream."""
     g = entry.geometry
-    sign = orientation_sign(params, entry.orientation)
+    scale = orientation_sign(params, entry.orientation) * params.beta
+    imprint = _imprint(entry.pattern, g.cells, scale)
     rng = np.random.default_rng(derive_seed(chip_seed, "mismatch", entry.name))
-    mismatch = rng.standard_normal((g.depth, g.width)) * params.sigma_mismatch
-    pattern_signs = entry.parsed_pattern().signs(g.cells)
-    imprint = sign * params.beta * pattern_signs
-    return DeviceArray(design=entry, mismatch=mismatch, imprint=imprint)
+    latent = rng.standard_normal(g.cells)  # the (depth, width) draws in C order
+    latent *= params.sigma_mismatch
+    latent += imprint
+    return DeviceArray(design=entry, latent=latent, imprint=imprint)
 
 
 def power_up(dev: DeviceArray, params: ProcessParams, cycle_seed: int) -> Snapshot:
     """One noisy power-up of a device; noiseless when sigma_noise is zero."""
     g = dev.design.geometry
-    latent = dev.mismatch.reshape(-1) + dev.imprint
+    latent = dev.latent
     if params.sigma_noise > 0:
         rng = np.random.default_rng(derive_seed(cycle_seed, "noise", dev.design.name))
-        noise = rng.standard_normal(g.cells)
-        noise *= params.sigma_noise
-        latent += noise
+        latent = rng.standard_normal(g.cells)
+        latent *= params.sigma_noise
+        latent += dev.latent
     return Snapshot(bits=np.greater(latent, 0).view(np.uint8).reshape(g.depth, g.width))
 
 

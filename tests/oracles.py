@@ -6,8 +6,11 @@ string assembly instead of integer shifting.  Slow but obviously correct.
 The plot-file writer that formats every value with its own ``%.8f`` gives
 the reference bytes for plot files, and a design's dumps read and decoded
 one file at a time give the reference bits and errors of ``load_bits``.
-The scripted session of criterion 6 lives here too: sent one command at a
-time, it is the reference transcript that pipelined sends must reproduce.
+The simulator as it stood with two arrays per device, mismatch and
+imprint, summed again at every power-up, gives the reference latent and
+bits of ``simchip``.  The scripted session of criterion 6 lives here too:
+sent one command at a time, it is the reference transcript that pipelined
+sends must reproduce.
 So does the strategy for random floorplans inside the wire limits.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -24,7 +28,14 @@ from srampuf.chipnet import protocol as wire
 from srampuf.chipnet.dumpdir import _NAMED, _named
 from srampuf.chipnet.dumpfile import decode_bits
 from srampuf.layout import Geometry, Orientation, PlacedMacro
-from srampuf.simchip import DesignEntry
+from srampuf.patterns import parse_run_length
+from srampuf.simchip import (
+    DesignEntry,
+    ProcessParams,
+    Snapshot,
+    derive_seed,
+    orientation_sign,
+)
 
 
 def autocorr_direct(v, lags=None):
@@ -229,3 +240,37 @@ def designs(draw):
         pattern = f"0({draw(st.integers(1, 40))})1({draw(st.integers(1, 40))})"
         entries.append(DesignEntry(f"D{i}", placed, pattern))
     return tuple(entries)
+
+
+@dataclass(frozen=True)
+class _TwoArrayDevice:
+    design: DesignEntry
+    mismatch: np.ndarray  # (depth, width) static per-cell mismatch
+    imprint: np.ndarray  # (depth*width,) +-beta along readout order
+
+
+def _sample_device(entry: DesignEntry, params: ProcessParams, chip_seed: int) -> _TwoArrayDevice:
+    g = entry.geometry
+    sign = orientation_sign(params, entry.orientation)
+    rng = np.random.default_rng(derive_seed(chip_seed, "mismatch", entry.name))
+    mismatch = rng.standard_normal((g.depth, g.width)) * params.sigma_mismatch
+    pattern_signs = parse_run_length(entry.pattern).signs(g.cells)
+    imprint = sign * params.beta * pattern_signs
+    return _TwoArrayDevice(design=entry, mismatch=mismatch, imprint=imprint)
+
+
+def _power_up(dev: _TwoArrayDevice, params: ProcessParams, cycle_seed: int) -> Snapshot:
+    g = dev.design.geometry
+    latent = dev.mismatch.reshape(-1) + dev.imprint
+    if params.sigma_noise > 0:
+        rng = np.random.default_rng(derive_seed(cycle_seed, "noise", dev.design.name))
+        noise = rng.standard_normal(g.cells)
+        noise *= params.sigma_noise
+        latent += noise
+    return Snapshot(bits=np.greater(latent, 0).view(np.uint8).reshape(g.depth, g.width))
+
+
+def power_up_reference(entry, params, chip_seed, cycle_seed):
+    """(mismatch + imprint, power-up bits) of one device by the two-array simulator."""
+    dev = _sample_device(entry, params, chip_seed)
+    return dev.mismatch.reshape(-1) + dev.imprint, _power_up(dev, params, cycle_seed).bits

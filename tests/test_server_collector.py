@@ -324,6 +324,32 @@ def test_connect_to_dead_endpoint_raises_connection_lost():
         HarnessClient(endpoint)
 
 
+def test_a_failed_power_up_uses_no_cycle_and_ends_only_its_session(monkeypatch, capsys):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    snapshots = ChipBank.snapshots
+    faults = [RuntimeError("simulated fault")]
+
+    def fail_once(bank, chip, cycle):
+        if faults:
+            raise faults.pop()
+        return snapshots(bank, chip, cycle)
+
+    monkeypatch.setattr(ChipBank, "snapshots", fail_once)
+    with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
+        with raw_session(s) as sock:
+            assert command(sock, bytes([wire.OP_SELECT_CHIP, 3])).data == 3
+            sock.sendall(bytes([wire.OP_POWER_ON]))
+            assert sock.recv(1) == b""  # the server ended the session
+        with raw_session(s) as sock:
+            assert command(sock, bytes([wire.OP_SELECT_CHIP, 3])).data == 3
+            assert command(sock, bytes([wire.OP_POWER_ON])).data == 0
+            assert command(sock, bytes([wire.OP_POWER_ON])).data == 1
+    assert not faults and not hooked
+    assert capsys.readouterr().err == \
+        "srampuf serve: session ended: RuntimeError: simulated fault\n"
+
+
 def test_server_closing_mid_command_raises_connection_lost():
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))

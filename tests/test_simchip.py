@@ -4,17 +4,21 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import pattern_bit
+from oracles import pattern_bit, power_up_reference
+from srampuf.floorplan import DEFAULT_DESIGNS
 from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.metrics import calibrate_noise
+from srampuf.patterns import parse_run_length
 from srampuf.simchip import (
     ChipBank,
     DegenerateGradient,
     DesignEntry,
     ProcessParams,
     Snapshot,
+    _imprint,
     derive_seed,
     orientation_sign,
     power_up,
@@ -114,10 +118,30 @@ def test_zero_beta_means_zero_imprint():
 def test_sample_device_is_deterministic():
     a = sample_device(make_entry(), ProcessParams(), chip_seed=42)
     b = sample_device(make_entry(), ProcessParams(), chip_seed=42)
-    assert np.array_equal(a.mismatch, b.mismatch)
+    assert np.array_equal(a.latent, b.latent)
     assert np.array_equal(a.imprint, b.imprint)
     c = sample_device(make_entry(), ProcessParams(), chip_seed=43)
-    assert not np.array_equal(a.mismatch, c.mismatch)
+    assert not np.array_equal(a.latent, c.latent)
+
+
+def test_chips_of_a_design_share_one_read_only_imprint():
+    bank = ChipBank([make_entry("A"), make_entry("B", orient=Orientation.R270)],
+                    ProcessParams(), seed=8)
+    one, two = bank.devices(0), bank.devices(1)
+    for name in ("A", "B"):
+        assert one[name].imprint is two[name].imprint
+        with pytest.raises(ValueError):
+            one[name].imprint[0] = 0.0
+    assert one["A"].imprint is not one["B"].imprint
+
+
+def test_noise_calibration_caches_one_imprint():
+    """The imprint cache is keyed on what shapes the imprint, not on sigma_noise."""
+    probe = DesignEntry("probe", PlacedMacro(Geometry(1024, 32, 8), Orientation.R90),
+                        "0(16)1(16)")
+    _imprint.cache_clear()
+    calibrate_noise(0.065, ProcessParams(), probe, 90)
+    assert _imprint.cache_info().currsize <= 1
 
 
 def test_noiseless_power_ups_are_identical():
@@ -143,7 +167,7 @@ def test_huge_beta_pins_bits_to_the_pattern():
     entry = make_entry(pattern="0(16)1(16)")
     dev = sample_device(entry, params, chip_seed=9)
     snap = power_up(dev, params, cycle_seed=1)
-    expect = entry.parsed_pattern().bits(dev.imprint.size)
+    expect = parse_run_length(entry.pattern).bits(dev.imprint.size)
     assert np.array_equal(snap.readout(), expect)
 
 
@@ -213,3 +237,50 @@ def test_banks_with_equal_seeds_agree():
     assert not np.array_equal(
         one.snapshots(0, 0)["A"].bits, other.snapshots(0, 0)["A"].bits
     )
+
+
+@st.composite
+def small_entries(draw):
+    """A design of depth 1-64 and width 2-64 (Geometry needs it even), any orientation."""
+    depth = draw(st.integers(1, 64))
+    geometry = Geometry(depth=depth, width=2 * draw(st.integers(1, 32)), mux=1)
+    runs = draw(st.lists(st.integers(1, 40), min_size=2, max_size=5))
+    pattern = "".join(f"{k % 2}({n})" for k, n in enumerate(runs))
+    placed = PlacedMacro(geometry, draw(st.sampled_from(list(Orientation))))
+    return DesignEntry(draw(st.sampled_from(["D0", "P2_a"])), placed, pattern)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    small_entries(),
+    st.sampled_from([1.0, 0.37]),
+    st.sampled_from([0.0, 0.140625, 2.0]),
+    st.sampled_from([0.0, 0.06, 1000.0]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+)
+def test_simulator_matches_the_two_array_reference(entry, sigma_m, sigma_n, beta,
+                                                   chip_seed, cycle_seed):
+    """Latent and bits equal the two-array simulator's, noiseless power-ups included."""
+    params = ProcessParams(sigma_mismatch=sigma_m, sigma_noise=sigma_n, beta=beta)
+    latent, bits = power_up_reference(entry, params, chip_seed, cycle_seed)
+    dev = sample_device(entry, params, chip_seed)
+    assert np.array_equal(dev.latent, latent)
+    assert np.array_equal(power_up(dev, params, cycle_seed).bits, bits)
+
+
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.tuples(st.integers(0, 255), st.integers(0, 9)),
+                                       min_size=1, max_size=3))
+def test_chip_bank_matches_the_two_array_reference(seed, points):
+    """A few chips x cycles of the default floorplan, through the bank's seed paths."""
+    bank = ChipBank(DEFAULT_DESIGNS, ProcessParams(), seed)
+    for chip, cycle in points:
+        snaps = bank.snapshots(chip, cycle)
+        devices = bank.devices(chip)
+        for entry in DEFAULT_DESIGNS:
+            latent, bits = power_up_reference(entry, bank.params,
+                                              derive_seed(seed, "chip", chip),
+                                              derive_seed(seed, "cycle", chip, cycle))
+            assert np.array_equal(devices[entry.name].latent, latent)
+            assert np.array_equal(snaps[entry.name].bits, bits)
