@@ -7,10 +7,12 @@ Hamming weight against that template, per-bit min-entropy endpoints, and
 the bias direction relative to a baseline design.
 
 Each design's dumps load, one read per file and decoded as one stack, into
-a ``(chips, cycles, cells)`` uint8 bit tensor, and every statistic is an
-exact integer reduction over its axes: one ``wchd`` call per design compares
-all reconstructions with their enrollment, one ``mhw`` call covers every
-reading, and the template folds the column sums of all readings at once.
+its packed readings: a ``(chips, cycles, depth * ceil(width/8))`` uint8
+array of word bytes, one bit per bit, which is never unpacked whole.  Every
+statistic is an exact integer count over its axes: one packed ``wchd`` call
+per design XORs all reconstructions with their enrollment and popcounts
+them, one packed ``mhw`` call covers every reading, and the template folds
+the column sums of all readings, unpacked ``UNPACK_BYTES`` at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .biasdetect import (
     strongest_vector,
 )
 from .chipnet.dumpdir import grid, load_bits, read_plan, scan_dump_dir
+from .chipnet.dumpfile import unpack_octets, word_byte_width
 from .metrics import MetricsRow, entropy_range, fhw, mhw, wchd
 from .patterns import canonical_cycle, cyclic_notation
 
@@ -41,6 +44,9 @@ from .patterns import canonical_cycle, cyclic_notation
 REFERENCE_TOTAL_BITS = 262_320
 
 PROFILE_MODES = ("mean", "top-chip")
+
+# Most unpacked bytes a column sum holds at once.
+UNPACK_BYTES = 1 << 20
 
 
 class MissingBaseline(ValueError):
@@ -91,19 +97,22 @@ def analyze_dumps(
     directions: dict[str, int] = {}
     total = 0
     for name in sorted(index):
-        header, bits = load_bits(name, index[name], chips, cycles)
-        rows = bits.reshape(-1, bits.shape[2])
-        total += bits.shape[2]
+        header, packed = load_bits(name, index[name], chips, cycles)
+        width, readings = header.width, len(chips) * len(cycles)
+        total += header.depth * width
         # Cycles are sorted and include 0, so index 0 is the enrollment.
-        per_chip_wchd = wchd(bits[:, :1], bits[:, 1:]).mean(axis=-1).tolist()
+        per_chip_wchd = wchd(packed[:, :1], packed[:, 1:], width).mean(axis=-1).tolist()
 
-        # Exact integers, so sums / rows is bit for bit rows.mean(axis=0).
-        column_ones = rows.sum(axis=0, dtype=np.uint32)
+        # Exact integers, so ones / readings is bit for bit the mean of the 0/1 bits.
         if profile_mode == "mean":
-            profile = column_ones / rows.shape[0]
+            column_ones = _column_ones(packed.reshape(readings, -1), width)
+            profile = column_ones / readings
         else:
-            chip_profiles = bits.mean(axis=1)
-            profile = chip_profiles[strongest_vector(chip_profiles)]
+            chip_ones = np.stack([_column_ones(chip, width) for chip in packed])
+            column_ones = chip_ones.sum(axis=0, dtype=np.uint32)
+            chip_profiles = chip_ones / len(cycles)
+            # A copy, so the result does not keep every chip's profile alive.
+            profile = chip_profiles[strongest_vector(chip_profiles)].copy()
 
         autocorr = None
         bias = BiasReport(detected_period=None, template=None, notation=None,
@@ -113,7 +122,7 @@ def analyze_dumps(
         try:
             autocorr = autocorrelation(profile)
             period = dominant_period(autocorr, profile.size)
-            template = smooth_template(fold_template(column_ones, rows.shape[0], period))
+            template = smooth_template(fold_template(column_ones, readings, period))
             canonical, _ = canonical_cycle(template)
             bias = BiasReport(
                 detected_period=period,
@@ -134,9 +143,9 @@ def analyze_dumps(
                 directions[name] = bias_direction(profile, tiled)
             except ConstantInput:  # smoothing erased every run but one
                 notes.append(f"{name}: template {bias.notation} is constant; BD column is 0")
-            per_chip_mhw = mhw(bits, template).mean(axis=-1).tolist()
+            per_chip_mhw = mhw(packed, template, width).mean(axis=-1).tolist()
         else:
-            per_chip_mhw = [fhw(chip_bits) for chip_bits in bits]
+            per_chip_mhw = [fhw(chip, width) for chip in packed]
             notes.append(f"{name}: reporting raw FHW in the MHW column")
 
         mhw_lo, mhw_hi = min(per_chip_mhw), max(per_chip_mhw)
@@ -193,6 +202,19 @@ def analyze_dumps(
             "gradient": list(params.gradient),
         }
     return RunAnalysis(meta=meta, notes=notes, results=results)
+
+
+def _column_ones(rows: np.ndarray, width: int) -> np.ndarray:
+    """Ones at each bit position over packed ``rows``, unpacking a block of rows at a time."""
+    size = word_byte_width(width)
+    cells = rows.shape[-1] // size * width
+    block = max(1, UNPACK_BYTES // cells)
+    ones = np.zeros(cells, dtype=np.uint32)
+    for start in range(0, len(rows), block):
+        chunk = rows[start:start + block]
+        ones += unpack_octets(chunk.reshape(-1, size), width).reshape(len(chunk), cells).sum(
+            axis=0, dtype=np.uint32)
+    return ones
 
 
 def analysis_to_report(run: RunAnalysis) -> dict:

@@ -95,10 +95,11 @@ def dominant_period(r, n: int) -> int:
         raise NoPeriodicity(f"period band [{min_period}, {max_period}] is empty")
     band = spec[k_lo : k_hi + 1]
     k_star = k_lo + int(np.argmax(band))
-    floor = float(np.median(band))
-    if spec[k_star] <= 0 or spec[k_star] < SIGNIFICANCE * floor:
+    peak = spec[k_star]
+    floor = float(np.median(band, overwrite_input=True))  # reorders band, a view of spec
+    if peak <= 0 or peak < SIGNIFICANCE * floor:
         raise NoPeriodicity(
-            f"spectral peak {spec[k_star]:.3g} below "
+            f"spectral peak {peak:.3g} below "
             f"{SIGNIFICANCE} x median {floor:.3g}"
         )
     p0 = nfft / k_star
@@ -160,9 +161,10 @@ def bias_direction(profile, baseline) -> int:
     """Sign of the zero-lag correlation between two bias profiles.
 
     Both series are truncated to the shorter length and mean-removed; their
-    normalized correlation at zero lag, ``x @ y / norm``, gives +1 or -1,
+    normalized correlation at zero lag, ``x . y / norm``, gives +1 or -1,
     or 0 when its magnitude stays below the significance threshold
-    min(0.5, 4.5/sqrt(L)).
+    min(0.5, 4.5/sqrt(L)).  The sums are plain reductions of the products:
+    a BLAS dot product would wake worker threads for one short vector.
     """
     x = np.asarray(profile, dtype=np.float64).ravel()
     y = np.asarray(baseline, dtype=np.float64).ravel()
@@ -171,10 +173,10 @@ def bias_direction(profile, baseline) -> int:
         raise InsufficientData(f"overlap of {n} values is too short")
     x = x[:n] - x[:n].mean()
     y = y[:n] - y[:n].mean()
-    norm = np.sqrt(float(x @ x) * float(y @ y))
+    norm = np.sqrt(float(np.add.reduce(x * x)) * float(np.add.reduce(y * y)))
     if norm == 0:
         raise ConstantInput("a profile has zero variance")
-    corr = float(x @ y) / norm
+    corr = float(np.add.reduce(x * y)) / norm
     if abs(corr) < min(0.5, 4.5 / np.sqrt(n)):
         return 0
     return 1 if corr > 0 else -1

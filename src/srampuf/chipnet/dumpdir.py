@@ -7,7 +7,8 @@ written together.  ``manifest.txt`` adds a ``server_cycle <chip> <cycle>
 The reader finds dumps by the names ``dump_filename`` gives and refuses any
 other ``.pufdump`` name.  It reads each dump once and checks its header
 against the file name and the design's first dump.  A design's dumps decode
-as one stack, or, if any is not the writer's bytes, one by one.
+as one stack, or, if any is not the writer's bytes, one by one, and stay
+packed: each word's big-endian bytes as ``decode_dump`` gives them.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 from ..biasdetect import InsufficientData
 from ..floorplan import format_config, load_config
 from ..simchip import DesignEntry, ProcessParams
-from .dumpfile import (DumpFormatError, DumpHeader, decode_bits, decode_bodies, format_dump,
-                       header_text, unpack_octets, written_header)
+from .dumpfile import (DumpFormatError, DumpHeader, decode_bodies, decode_dump, format_dump,
+                       header_text, written_header)
 
 MANIFEST_NAME = "manifest.txt"
 FLOORPLAN_NAME = "floorplan.cfg"
@@ -111,10 +112,13 @@ def grid(index: dict[str, dict]) -> tuple[list[int], list[int]]:
 
 
 def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.ndarray]:
-    """First header and (chips, cycles, cells) 0/1 tensor, reading each file once.
+    """First header and the packed readings, reading each file once.
 
-    Dumps that are the writer's bytes for their names decode as one stack; else
-    ``decode_bits`` takes the bytes read file by file and raises the first error.
+    A reading is its words' big-endian bytes in address order, as ``decode_dump``
+    gives them, bits past the width zero: (chips, cycles, depth * ceil(width/8))
+    uint8, one bit per bit.  Dumps that are the writer's bytes for their names
+    decode as one stack; else ``decode_dump`` takes the bytes read file by file
+    and raises the first error.
     """
     keys = list(itertools.product(chips, cycles))
     raws, failed = [], None
@@ -130,13 +134,13 @@ def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.n
         bodies = [memoryview(raw)[len(head):] if raw.startswith(head) else b""  # too short
                   for raw, head in zip(raws, heads)]
         if (octets := decode_bodies(first, bodies)) is not None:
-            return first, unpack_octets(octets, first.width).reshape(len(chips), len(cycles), -1)
-    first = bits = None
+            return first, octets.reshape(len(chips), len(cycles), -1)
+    first = packed = None
     for n, (chip, cycle) in enumerate(keys):
         if n == len(raws):
             raise failed
         with _named(path := files[(chip, cycle)]):
-            header, matrix = decode_bits(raws[n])
+            header, octets = decode_dump(raws[n])
         got = vars(header)  # field name -> value, in field order
         expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
         if got != expected:
@@ -145,9 +149,9 @@ def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.n
             raise InsufficientData(f"{path.name}: {name} disagrees with {source}")
         if first is None:
             first = header
-            bits = np.empty((len(keys), header.depth * header.width), np.uint8)
-        bits[n] = matrix.reshape(-1)
-    return first, bits.reshape(len(chips), len(cycles), -1)
+            packed = np.empty((len(keys), octets.size), np.uint8)
+        packed[n] = octets.reshape(-1)
+    return first, packed.reshape(len(chips), len(cycles), -1)
 
 
 def read_plan(dump_dir) -> tuple[ProcessParams | None, int | None]:

@@ -14,10 +14,11 @@ Widths run 1-64 and depths 1-65,536 (addresses are four hex digits); the
 writer and the header parser both refuse any other geometry.
 
 ``format_dump`` is the format.  ``decode_dump`` gives each word's
-big-endian bytes, which ``parse_dump`` views as words and ``decode_bits``
-unpacks straight into bits.  Its fast path, ``decode_bodies``, decodes the
-digit columns of one or many bodies at once and keeps the result only when
-each dump is what ``format_dump`` writes: the same header lines, addresses,
+big-endian bytes, bits past the width zero: the packed form analysis
+counts on, which ``parse_dump`` views as words and ``unpack_octets``
+unpacks into bits.  Its fast path, ``decode_bodies``, decodes the digit
+columns of one or many bodies at once and keeps the result only when each
+dump is what ``format_dump`` writes: the same header lines, addresses,
 separators and newlines, lowercase hex and no bit past the width.
 Everything else goes to a line-by-line regex loop, which also accepts CRLF
 line ends and a missing final newline, and names the first bad line.
@@ -66,6 +67,10 @@ def __getattr__(name: str):  # dump_filename lives in dumpdir, with the director
 
 def word_hex_width(w: int) -> int:
     return -(-w // 4)
+
+
+def word_byte_width(w: int) -> int:
+    return -(-w // 8)
 
 
 def _check_geometry(header: DumpHeader) -> DumpHeader:
@@ -143,12 +148,6 @@ def parse_dump(data: str | bytes) -> tuple[DumpHeader, np.ndarray]:
     return header, words.astype(np.uint64)
 
 
-def decode_bits(raw: bytes) -> tuple[DumpHeader, np.ndarray]:
-    """Header and (depth, width) bit matrix of a dump; bit b of each word in column b."""
-    header, octets = decode_dump(raw)
-    return header, unpack_octets(octets, header.width)
-
-
 def unpack_octets(octets: np.ndarray, width: int) -> np.ndarray:
     """(words, width) bit matrix of big-endian word bytes; bit b of each word in column b."""
     return np.unpackbits(octets[:, ::-1], axis=1, bitorder="little")[:, :width]
@@ -160,8 +159,7 @@ def decode_dump(raw: bytes) -> tuple[DumpHeader, np.ndarray]:
     if header and (octets := decode_bodies(header, [raw[len(header_text(header)):]])) is not None:
         return header, octets
     header, words = _parse_lines(raw.decode("utf-8"))
-    octets = words.astype(">u8").view(np.uint8).reshape(header.depth, 8)
-    return header, octets[:, 8 - (header.width + 7) // 8:]
+    return header, words_to_octets(words, header.width)
 
 
 def written_header(raw: bytes) -> DumpHeader | None:
@@ -176,7 +174,7 @@ def written_header(raw: bytes) -> DumpHeader | None:
 def decode_bodies(header: DumpHeader, bodies) -> np.ndarray | None:
     """Big-endian bytes of every word of ``bodies`` (bytes-like), shaped (N * depth,
     ceil(width/8)), if each is the body ``format_dump`` writes for ``header``, else None."""
-    digits, size = word_hex_width(header.width), (header.width + 7) // 8
+    digits, size = word_hex_width(header.width), word_byte_width(header.width)
     blank = _blank_body(header.depth, digits)
     if any(len(body) != len(blank) for body in bodies):
         return None
@@ -186,14 +184,17 @@ def decode_bodies(header: DumpHeader, bodies) -> np.ndarray | None:
     padded = np.full((body.shape[0], 2 * size), ord("0"), dtype=np.uint8)
     padded[:, 2 * size - digits:] = body[:, 6:-1]
     body[:, 6:-1] = ord("0")  # what is left must be the blank body
+    if not all(joined.startswith(blank, start) for start in range(0, len(joined), len(blank))):
+        return None
+    # unhexlify also takes A-F; of the hex digits only those lack bit 0x20.
+    if not np.bitwise_and.reduce(padded, axis=None) & 0x20:
+        return None
     try:
-        packed = binascii.unhexlify(hexed := padded.tobytes())
+        packed = binascii.unhexlify(padded)
     except binascii.Error:  # a non-hex digit
         return None
     octets = np.frombuffer(packed, dtype=np.uint8).reshape(-1, size)
-    if (joined != blank * len(bodies)
-            or binascii.hexlify(packed) != hexed  # uppercase digits
-            or header.width % 8 and (octets[:, 0] >> header.width % 8).any()):
+    if header.width % 8 and (octets[:, 0] >> header.width % 8).any():
         return None
     return octets
 
@@ -227,9 +228,15 @@ def words_to_bits(words, w: int) -> np.ndarray:
     return ((arr[:, np.newaxis] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
+def words_to_octets(words, w: int) -> np.ndarray:
+    """(depth, ceil(w/8)) big-endian bytes of word values, as ``decode_dump`` gives them."""
+    octets = np.asarray(words, dtype=np.uint64).astype(">u8").view(np.uint8).reshape(-1, 8)
+    return octets[:, 8 - word_byte_width(w):]
+
+
 def bits_to_words(bits) -> np.ndarray:
     """Word values of a (depth, w) bit matrix, w <= 64; inverse of words_to_bits."""
     mat = np.asarray(bits, dtype=np.uint8)
     packed = np.zeros((mat.shape[0], 8), dtype=np.uint8)  # little-endian words
-    packed[:, : -(-mat.shape[1] // 8)] = np.packbits(mat, axis=1, bitorder="little")
+    packed[:, :word_byte_width(mat.shape[1])] = np.packbits(mat, axis=1, bitorder="little")
     return packed.view("<u8").reshape(-1).astype(np.uint64, copy=False)

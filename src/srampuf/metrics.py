@@ -1,4 +1,10 @@
-"""Bit-level quality metrics for power-up readings, plus noise calibration."""
+"""Bit-level quality metrics for power-up readings, plus noise calibration.
+
+A reading is either one 0/1 byte per bit or, given its word ``width``, the
+packed form dumps decode to: each word's big-endian bytes (``dumpfile``
+layout), bits past the width zero.  Either way the counts come from one
+popcount kernel, so packed readings are never unpacked.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .chipnet.dumpfile import bits_to_words, word_byte_width, words_to_octets
 from .simchip import ChipBank, DesignEntry, ProcessParams, derive_seed
 
 
@@ -62,12 +69,24 @@ def _as_bits(x) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def fhw(bits) -> float:
-    """Fractional Hamming weight: the fraction of ones."""
-    arr = _as_bits(bits)
-    if arr.size == 0:
+def _as_readings(x, width: int | None) -> tuple[np.ndarray, int]:
+    """``x`` as uint8 readings along the last axis, and the bit count of one reading:
+    0/1 bytes without ``width``, packed words with it."""
+    if width is None:
+        arr = _as_bits(x)
+        return arr, arr.shape[-1]
+    arr, size = np.asarray(x, dtype=np.uint8), word_byte_width(width)
+    if arr.ndim == 0 or arr.shape[-1] % size:
+        raise LengthMismatch(f"readings of shape {arr.shape} are not whole {size}-byte words")
+    return arr, arr.shape[-1] // size * width
+
+
+def fhw(bits, width: int | None = None) -> float:
+    """Fractional Hamming weight: the fraction of ones, over every reading given."""
+    arr, cells = _as_readings(bits, width)
+    if arr.size == 0 or cells == 0:
         raise EmptyInput("empty bit array")
-    return float(arr.mean())
+    return float(_ones(arr.reshape(-1)) / (arr.size // arr.shape[-1] * cells))
 
 
 def _per_reading(values: np.ndarray):
@@ -79,48 +98,58 @@ def _per_reading(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def _ones(bits: np.ndarray) -> np.ndarray:
-    """Exact count of ones along the last axis of 0/1 bytes, eight to a uint64 word."""
-    bits = np.ascontiguousarray(bits)
-    whole = bits.shape[-1] // 8 * 8
-    return (np.bitwise_count(bits[..., :whole].view(np.uint64)).sum(axis=-1, dtype=np.int64)
-            + bits[..., whole:].sum(axis=-1, dtype=np.int64))
+def _ones(x: np.ndarray) -> np.ndarray:
+    """Exact count of set bits along the last axis of uint8 bytes, eight to a uint64 word."""
+    x = np.ascontiguousarray(x)
+    whole = x.shape[-1] // 8 * 8
+    return (np.bitwise_count(x[..., :whole].view(np.uint64)).sum(axis=-1, dtype=np.int64)
+            + np.bitwise_count(x[..., whole:]).sum(axis=-1, dtype=np.int64))
 
 
-def wchd(enrollment, reconstruction):
+def wchd(enrollment, reconstruction, width: int | None = None):
     """Within-class Hamming distance, as a fraction of compared bits.
 
     Readings lie along the last axis; leading axes broadcast, so stacks of
     readings give an array of distances and two 1-d readings give a float.
+    Given ``width``, readings are packed and XOR as they are.
     """
-    a = _as_bits(enrollment)
-    b = _as_bits(reconstruction)
+    a, cells = _as_readings(enrollment, width)
+    b, _ = _as_readings(reconstruction, width)
     if a.shape[-1] != b.shape[-1]:
         raise LengthMismatch(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    if a.shape[-1] == 0:
+    if cells == 0:
         raise EmptyInput("empty bit arrays")
-    return _per_reading(_ones(np.bitwise_xor(a, b)) / a.shape[-1])
+    return _per_reading(_ones(np.bitwise_xor(a, b)) / cells)
 
 
-def mhw(response, template):
+def mhw(response, template, width: int | None = None):
     """Masked Hamming weight: FHW after removing a periodic component.
 
     The template is tiled from position zero and XORed onto the response;
     a trailing partial period is dropped so every template phase carries
     equal weight.  Responses lie along the last axis: a stack of responses
-    gives an array, a 1-d response a float.
+    gives an array, a 1-d response a float.  Given ``width``, responses are
+    packed, and the tiled template and the mask of whole periods are packed
+    alike.
     """
-    arr = _as_bits(response)
+    arr, cells = _as_readings(response, width)
     cyc = _as_bits(template).reshape(-1)
     if cyc.size == 0:
         raise EmptyInput("empty template")
-    usable = (arr.shape[-1] // cyc.size) * cyc.size
+    usable = (cells // cyc.size) * cyc.size
     if usable == 0:
         raise EmptyInput(
-            f"response of {arr.shape[-1]} bits is shorter than one {cyc.size}-bit period"
+            f"response of {cells} bits is shorter than one {cyc.size}-bit period"
         )
     tiled = np.tile(cyc, usable // cyc.size)
-    return _per_reading(_ones(np.bitwise_xor(arr[..., :usable], tiled)) / usable)
+    if width is None:
+        return _per_reading(_ones(np.bitwise_xor(arr[..., :usable], tiled)) / usable)
+    planes = np.zeros((2, cells), dtype=np.uint8)  # the tiled template, then the mask
+    planes[0, :usable] = tiled
+    planes[1, :usable] = 1
+    pattern, mask = words_to_octets(bits_to_words(planes.reshape(-1, width)), width).reshape(2, -1)
+    diff = np.bitwise_xor(arr, pattern)
+    return _per_reading(_ones(np.bitwise_and(diff, mask, out=diff)) / usable)
 
 
 def min_entropy_by_one_probability(p: float) -> float:

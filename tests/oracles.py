@@ -5,7 +5,8 @@ summation instead of FFT, per-phase folding instead of spectral peaks,
 string assembly instead of integer shifting.  Slow but obviously correct.
 The plot-file writer that formats every value with its own ``%.8f`` gives
 the reference bytes for plot files, and a design's dumps read and decoded
-one file at a time give the reference bits and errors of ``load_bits``.
+to bits one file at a time give the reference bits and errors of
+``load_bits``, whose packed readings the tests unpack to compare.
 The simulator as it stood with two arrays per device, mismatch and
 imprint, summed again at every power-up, gives the reference latent and
 bits of ``simchip``.  The scripted session of criterion 6 lives here too:
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet import protocol as wire
 from srampuf.chipnet.dumpdir import _NAMED, _named
-from srampuf.chipnet.dumpfile import decode_bits
+from srampuf.chipnet.dumpfile import decode_dump, unpack_octets
 from srampuf.layout import Geometry, Orientation, PlacedMacro
 from srampuf.patterns import parse_run_length
 from srampuf.simchip import (
@@ -136,8 +137,14 @@ def parse_dump_lines(text):
     return np.array(words, dtype=np.uint64)
 
 
+def decode_bits(raw):
+    """Header and (depth, width) bit matrix of a dump; bit b of each word in column b."""
+    header, octets = decode_dump(raw)
+    return header, unpack_octets(octets, header.width)
+
+
 def load_bits_per_file(design, files, chips, cycles):
-    """``dumpdir.load_bits`` as one read and one ``decode_bits`` per file, in grid order."""
+    """``dumpdir.load_bits``, unpacked, as one read and one ``decode_bits`` per file, in grid order."""
     first = bits = None
     for i, chip in enumerate(chips):
         for j, cycle in enumerate(cycles):
@@ -201,16 +208,14 @@ def pattern_bit(text, k):
     if len(runs) % 2 and len(runs) > 1:
         offset, block = runs[0], runs[1:]
     else:
-        offset, block = None, runs
-    expanded = []
-    if offset:
-        expanded += [offset[0]] * offset[1]
-    cycle = []
+        offset, block = (0, 0), runs
+    if k < offset[1]:
+        return offset[0]
+    k = (k - offset[1]) % sum(length for _, length in block)
     for bit, length in block:
-        cycle += [bit] * length
-    while len(expanded) <= k:
-        expanded += cycle
-    return expanded[k]
+        if k < length:
+            return bit
+        k -= length
 
 
 def parse_rendered_table(text):

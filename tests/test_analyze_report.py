@@ -5,6 +5,7 @@ import collections
 import io
 import json
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -242,6 +243,29 @@ def test_analyze_reads_each_dump_once_and_scan_opens_none(tmp_path, monkeypatch)
     monkeypatch.setattr(Path, "read_bytes", counted)
     analyze_dumps(tmp_path, baseline="A")
     assert reads == {path.name: 1 for path in dumps}
+
+
+def test_analysis_holds_each_design_packed(tmp_path):
+    design = entry("A", 64, 64, 4, Orientation.R0, "0(16)1(16)")
+    write_bank_dumps(tmp_path, (design,), 3, chips=range(16), cycles=range(16))
+    packed = 16 * 16 * design.geometry.cells // 8
+    analyze_dumps(tmp_path, baseline="A")  # imports and caches are not the pass's own
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run = analyze_dumps(tmp_path, baseline="A")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert run.results[0].bias.detected_period == 32
+    # Loading holds each dump's text twice (as read, and joined into one
+    # stack), its digits padded to whole bytes and the packed readings: about
+    # 9x the packed size, as a 64-bit word's dump line has 23 bytes for its 8.
+    # Unpacked to a byte per bit, the readings alone would take 8x.
+    assert peak < 14 * packed, f"peak {peak} B for {packed} B of packed readings"
 
 
 SMALL = (

@@ -1,5 +1,7 @@
 """Autocorrelation, period detection, template folding, and bias direction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,38 @@ def test_bias_direction_self_and_reflection(seed):
         return
     assert bias_direction(x, x) == 1
     assert bias_direction(1 - x, x) == -1
+
+
+def direction_fsum(profile, baseline):
+    """Correlation and direction of ``bias_direction`` with every sum an exact ``math.fsum``."""
+    n = min(len(profile), len(baseline))
+    x, y = profile[:n].tolist(), baseline[:n].tolist()
+    x = [v - math.fsum(x) / n for v in x]
+    y = [v - math.fsum(y) / n for v in y]
+    corr = math.fsum(a * b for a, b in zip(x, y)) / math.sqrt(
+        math.fsum(a * a for a in x) * math.fsum(b * b for b in y))
+    threshold = min(0.5, 4.5 / math.sqrt(n))
+    return corr, threshold, 0 if abs(corr) < threshold else (1 if corr > 0 else -1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_bias_direction_equals_the_fsum_reference(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(8, 400), label="profile length")
+    m = data.draw(st.integers(8, 400), label="baseline length")
+    readings = data.draw(st.integers(1, 200), label="readings")
+    # Profiles are counts over readings; the baseline shares a share of the profile.
+    profile = rng.integers(0, readings + 1, n) / readings
+    share = data.draw(st.floats(-1.0, 1.0), label="share")
+    noise = rng.integers(0, readings + 1, m) / readings
+    baseline = noise + share * np.resize(profile, m)
+    if np.ptp(profile[:min(n, m)]) == 0 or np.ptp(baseline[:min(n, m)]) == 0:
+        return  # a mean that does not round exactly leaves no zero variance to detect
+    corr, threshold, direction = direction_fsum(profile, baseline)
+    if abs(abs(corr) - threshold) < 1e-9:  # too close to call for either sum
+        return
+    assert bias_direction(profile, baseline) == direction
 
 
 def test_strongest_vector_prefers_periodic_rows():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import format_dump_lines, load_bits_per_file, parse_dump_lines
+from oracles import decode_bits, format_dump_lines, load_bits_per_file, parse_dump_lines
 from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet import collector, dumpdir, dumpfile
 from srampuf.chipnet.dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, dump_filename, load_bits
@@ -22,12 +22,14 @@ from srampuf.chipnet.dumpfile import (
     DumpHeader,
     _parse_lines,
     bits_to_words,
-    decode_bits,
     decode_bodies,
+    decode_dump,
     format_dump,
     header_text,
     parse_dump,
     parse_header,
+    unpack_octets,
+    word_byte_width,
     word_hex_width,
     words_to_bits,
     written_header,
@@ -270,6 +272,13 @@ LOAD_MUTATIONS = ["none", "body byte", "uppercase", "past width", "crlf", "depth
                   "chip line", "other depth", "truncate", "directory"]
 
 
+def _load_unpacked(design, files, chips, cycles):
+    """``load_bits`` with its packed readings unpacked to (chips, cycles, cells) bits."""
+    header, packed = load_bits(design, files, chips, cycles)
+    bits = unpack_octets(packed.reshape(-1, word_byte_width(header.width)), header.width)
+    return header, bits.reshape(len(chips), len(cycles), -1)
+
+
 def _load_outcome(load, files, chips, cycles):
     """What a loader makes of a directory: header and bits, or its error's type and message."""
     try:
@@ -309,8 +318,8 @@ def test_load_bits_matches_the_per_file_oracle_on_a_mutated_dump(mutation, data)
         files = {key: Path(tmp, dump_filename("P4_b", *key)) for key in keys}
         for key, raw in raws.items():
             files[key].mkdir() if raw is None else files[key].write_bytes(raw)
-        with mock.patch.object(dumpdir, "decode_bits", wraps=decode_bits) as per_file:
-            got = _load_outcome(load_bits, files, chips, cycles)
+        with mock.patch.object(dumpdir, "decode_dump", wraps=decode_dump) as per_file:
+            got = _load_outcome(_load_unpacked, files, chips, cycles)
         assert got == _load_outcome(load_bits_per_file, files, chips, cycles)
     if mutation == "none":  # written dumps decode as one stack
         assert per_file.call_count == 0

@@ -3,12 +3,14 @@
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srampuf import analyze
 from srampuf.layout import Geometry, Orientation, PlacedMacro
 from srampuf.metrics import (
     CalibrationFailed,
@@ -140,6 +142,52 @@ def test_wchd_and_mhw_equal_the_float_mean_exactly():
                     assert type(got) is float and got == float(want)
                 else:
                     assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
+def _pack(bits, width):
+    """0/1 readings as dump word bytes, one Python int per word: big-endian, bit b worth 2**b."""
+    size = -(-width // 8)
+    out = bytearray()
+    for word in bits.reshape(-1, width).tolist():
+        out += sum(bit << b for b, bit in enumerate(word)).to_bytes(size, "big")
+    return np.frombuffer(bytes(out), dtype=np.uint8).reshape(*bits.shape[:-1], -1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_packed_counts_equal_the_bit_array_counts(data):
+    width = data.draw(st.integers(1, 64), label="width")
+    depth = data.draw(st.integers(1, 40), label="depth")  # mostly not a multiple of 8
+    chips, cycles = data.draw(st.integers(1, 3), label="chips"), data.draw(st.integers(2, 4),
+                                                                            label="cycles")
+    cells = depth * width
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    one_probability = data.draw(st.sampled_from([0.0, 0.03, 0.5, 1.0]), label="p")
+    bits = (rng.random((chips, cycles, cells)) < one_probability).astype(np.uint8)
+    # Most periods leave a partial period at the end, which mhw drops.
+    period = data.draw(st.integers(1, cells), label="period")
+    template = (rng.random(period) < 0.5).astype(np.uint8)
+    packed = _pack(bits, width)
+
+    assert np.array_equal(wchd(packed[:, :1], packed[:, 1:], width),
+                          wchd(bits[:, :1], bits[:, 1:]))
+    assert wchd(packed[0, 0], packed[0, 1], width) == wchd(bits[0, 0], bits[0, 1])
+    assert np.array_equal(mhw(packed, template, width), mhw(bits, template))
+    assert mhw(packed[0, 0], template, width) == mhw(bits[0, 0], template)
+    for chip in range(chips):
+        assert fhw(packed[chip], width) == fhw(bits[chip])
+    # Blocks of one row up to all rows at once, with a last block cut short.
+    unpack_bytes = data.draw(st.integers(1, chips * cycles * cells), label="unpack bytes")
+    with mock.patch.object(analyze, "UNPACK_BYTES", unpack_bytes):
+        ones = analyze._column_ones(packed.reshape(chips * cycles, -1), width)
+    assert np.array_equal(ones, bits.reshape(-1, cells).sum(axis=0))
+
+
+def test_packed_readings_must_be_whole_words():
+    with pytest.raises(LengthMismatch):
+        wchd(np.zeros(3, np.uint8), np.zeros(3, np.uint8), width=9)
+    with pytest.raises(EmptyInput):
+        fhw(np.zeros((2, 0), np.uint8), width=9)
 
 
 def test_min_entropy_endpoints():
