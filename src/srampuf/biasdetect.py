@@ -50,6 +50,13 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
+def _centred(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` less its mean; a constant ``x`` raises, even one whose mean rounds."""
+    if x.min() == x.max():
+        raise ConstantInput(f"{what} has zero variance")
+    return x - x.mean()
+
+
 def autocorrelation(v) -> np.ndarray:
     """Mean-removed autocorrelation r(0..N/2), normalized so r(0) = 1.
 
@@ -60,7 +67,7 @@ def autocorrelation(v) -> np.ndarray:
     n = x.size
     if n < 4:
         raise InsufficientData(f"vector of {n} values is too short")
-    x = x - x.mean()
+    x = _centred(x, "input")
     nfft = _next_pow2(2 * n)
     spec = np.fft.rfft(x, nfft)
     acf = np.fft.irfft(spec * np.conj(spec), nfft)[: n // 2 + 1]
@@ -171,8 +178,8 @@ def bias_direction(profile, baseline) -> int:
     n = min(x.size, y.size)
     if n < 8:
         raise InsufficientData(f"overlap of {n} values is too short")
-    x = x[:n] - x[:n].mean()
-    y = y[:n] - y[:n].mean()
+    x = _centred(x[:n], "a profile")
+    y = _centred(y[:n], "a profile")
     norm = np.sqrt(float(np.add.reduce(x * x)) * float(np.add.reduce(y * y)))
     if norm == 0:
         raise ConstantInput("a profile has zero variance")

@@ -8,6 +8,10 @@ by one lookup in the power-up's frame table; every other command goes
 through the per-opcode loop.  All chip state is a pure function of
 (master seed, chip id, cycle index): two servers built from the same seed
 answer identical command sequences with identical bytes.
+
+It stops by shutting its listener down, which on Linux wakes the accept
+thread's blocked ``accept()`` (a close alone would not), then ends and
+joins every live session.
 """
 
 from __future__ import annotations
@@ -170,7 +174,6 @@ class ChipServer:
         self._sessions: dict[_Session, threading.Thread] = {}  # live ones
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._stopping = threading.Event()
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -183,19 +186,17 @@ class ChipServer:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((self._host, self._port))
         listener.listen(8)
-        listener.settimeout(0.25)  # lets the accept loop notice shutdown
         self._listener = listener
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accept_thread = threading.Thread(target=self._accept_loop, name="srampuf-accept",
+                                               daemon=True)
         self._accept_thread.start()
         return self.endpoint
 
     def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
+            except OSError:  # the listener was shut down
                 break
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             session = _Session(self, conn)
@@ -207,12 +208,12 @@ class ChipServer:
 
     def shutdown(self) -> None:
         """Stop accepting, end every live session and wait for its thread."""
-        self._stopping.set()
         if self._listener is not None:
             try:
-                self._listener.close()
-            except OSError:
+                self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept thread
+            except OSError:  # shut down already
                 pass
+            self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         with self._lock:

@@ -19,7 +19,8 @@ ignored, indentation is free-form:
       pattern 0(32)1(64)0(64)
 
 ``_PARAM_KEYS`` and ``_DESIGN_KEYS`` list every key with its value count
-and reader; ``format_config`` writes the canonical form.
+and reader; ``format_config`` writes the canonical form from the same
+tables, in their order.
 """
 
 from __future__ import annotations
@@ -214,28 +215,15 @@ def parse_config(text: str) -> tuple[ProcessParams, tuple[DesignEntry, ...]]:
 
 def format_config(params: ProcessParams, designs) -> str:
     """Canonical configuration text; parsing it back reproduces the inputs."""
-    lines = [
-        "# SRAM PUF workbench floorplan",
-        "",
-        "params",
-        f"  sigma_mismatch {params.sigma_mismatch!r}",
-        f"  sigma_noise {params.sigma_noise!r}",
-        f"  beta {params.beta!r}",
-        f"  gradient {params.gradient[0]!r} {params.gradient[1]!r}",
-    ]
-    for d in designs:
-        g = d.geometry
-        lines += [
-            "",
-            f"design {d.name}",
-            f"  depth {g.depth}",
-            f"  width {g.width}",
-            f"  mux {g.mux}",
-            f"  class {g.speed_class}",
-            f"  orient {d.orientation.value}",
-            f"  origin {d.placed.origin[0]} {d.placed.origin[1]}",
-            f"  pattern {d.pattern}",
-        ]
+    stanzas = [("params", _PARAM_KEYS, vars(params).values())]
+    stanzas += [(f"design {d.name}", _DESIGN_KEYS, (
+        d.geometry.depth, d.geometry.width, d.geometry.mux, d.geometry.speed_class,
+        d.orientation.value, d.placed.origin, d.pattern)) for d in designs]
+    lines = ["# SRAM PUF workbench floorplan"]
+    for header, table, values in stanzas:
+        lines += ["", header]
+        for (key, (count, _)), value in zip(table.items(), values):
+            lines.append(f"  {key} " + (" ".join(map(str, value)) if count > 1 else str(value)))
     return "\n".join(lines) + "\n"
 
 

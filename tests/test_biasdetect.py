@@ -83,8 +83,16 @@ def test_autocorrelation_is_complement_invariant():
 def test_autocorrelation_input_validation():
     with pytest.raises(InsufficientData):
         autocorrelation([0, 1, 0])
+
+
+# Of these, only at n = 10 is the mean of n copies of 0.1 exactly 0.1.
+CONSTANT_LENGTHS = (10, 37, 64, 1000)
+
+
+@pytest.mark.parametrize("n", CONSTANT_LENGTHS)
+def test_autocorrelation_rejects_a_constant_profile(n):
     with pytest.raises(ConstantInput):
-        autocorrelation(np.ones(64))
+        autocorrelation(np.full(n, 0.1))
 
 
 def test_dominant_period_on_clean_square_waves():
@@ -201,8 +209,15 @@ def test_bias_direction_returns_zero_for_unrelated_noise():
 def test_bias_direction_input_validation():
     with pytest.raises(InsufficientData):
         bias_direction(np.arange(4), np.arange(4))
+
+
+@pytest.mark.parametrize("n", CONSTANT_LENGTHS)
+def test_bias_direction_rejects_a_constant_profile(n):
+    noise = np.random.default_rng(0).random(n)
     with pytest.raises(ConstantInput):
-        bias_direction(np.ones(64), np.random.default_rng(0).random(64))
+        bias_direction(np.full(n, 0.1), noise)
+    with pytest.raises(ConstantInput):
+        bias_direction(noise, np.full(n, 0.1))
 
 
 @settings(max_examples=30, deadline=None)
@@ -241,7 +256,9 @@ def test_bias_direction_equals_the_fsum_reference(data):
     noise = rng.integers(0, readings + 1, m) / readings
     baseline = noise + share * np.resize(profile, m)
     if np.ptp(profile[:min(n, m)]) == 0 or np.ptp(baseline[:min(n, m)]) == 0:
-        return  # a mean that does not round exactly leaves no zero variance to detect
+        with pytest.raises(ConstantInput):
+            bias_direction(profile, baseline)
+        return
     corr, threshold, direction = direction_fsum(profile, baseline)
     if abs(abs(corr) - threshold) < 1e-9:  # too close to call for either sum
         return

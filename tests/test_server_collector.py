@@ -188,6 +188,31 @@ def test_shutdown_ends_live_sessions_and_joins_their_threads(monkeypatch):
             sock.close()
 
 
+def test_shutdown_wakes_the_accept_thread_blocked_in_accept(monkeypatch):
+    # A listener with no timeout: only a wake ends its accept(), no poll does.
+    monkeypatch.setattr(socket.socket, "settimeout", lambda sock, timeout: None)
+    accept = socket.socket.accept
+    accepting = []
+    entered = threading.Event()
+
+    def accept_and_tell(sock):
+        accepting.append(threading.current_thread())
+        entered.set()  # the waiter runs once accept() blocks and lets go of the GIL
+        return accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept_and_tell)
+    with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED):
+        assert entered.wait(timeout=10)
+    assert not accepting[0].is_alive()
+    assert accepting[0].name == "srampuf-accept"
+
+
+def test_shutdown_twice_or_before_start_returns():
+    ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED).shutdown()
+    with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
+        s.shutdown()  # and once more on leaving the block
+
+
 def test_reads_match_the_chip_bank(server):
     client = HarnessClient(server.endpoint)
     try:
