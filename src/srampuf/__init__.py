@@ -7,22 +7,3 @@ reliability, masked-weight uniformity, and layout-correlated startup bias.
 """
 
 __version__ = "0.1.0"
-
-from .layout import Geometry, Orientation, PlacedMacro
-from .simchip import (
-    ChipBank,
-    DesignEntry,
-    DeviceArray,
-    ProcessParams,
-    Snapshot,
-    power_up,
-    sample_device,
-)
-from .floorplan import DEFAULT_DESIGNS
-
-__all__ = [
-    "Geometry", "Orientation", "PlacedMacro",
-    "ProcessParams", "DesignEntry", "DeviceArray", "Snapshot", "ChipBank",
-    "sample_device", "power_up", "DEFAULT_DESIGNS",
-    "__version__",
-]

@@ -17,13 +17,12 @@ the column sums of all readings, unpacked ``UNPACK_BYTES`` at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .biasdetect import (
-    BiasReport,
     ConstantInput,
     InsufficientData,
     NoPeriodicity,
@@ -36,8 +35,9 @@ from .biasdetect import (
 )
 from .chipnet.dumpdir import grid, load_bits, read_plan, scan_dump_dir
 from .chipnet.dumpfile import unpack_octets, word_byte_width
-from .metrics import MetricsRow, entropy_range, fhw, mhw, wchd
+from .metrics import entropy_range, fhw, mhw, wchd
 from .patterns import canonical_cycle, cyclic_notation
+from .report import check_row
 
 # Per-reading bit count of the physical reference harness this workbench
 # emulates; reported runs are flagged when their floorplan total differs.
@@ -55,16 +55,13 @@ class MissingBaseline(ValueError):
 
 @dataclass
 class DesignResult:
-    name: str
-    depth: int
-    width: int
-    mux: int
-    speed_class: str
-    orientation: str
-    metrics: MetricsRow
-    bias: BiasReport
+    row: dict  # the design's row of report.json
     profile: np.ndarray
     autocorr: np.ndarray | None
+
+    @property
+    def name(self) -> str:
+        return self.row["design"]
 
 
 @dataclass
@@ -94,7 +91,6 @@ def analyze_dumps(
         notes.append("no floorplan.cfg beside the dumps; process parameters unknown")
 
     results: list[DesignResult] = []
-    directions: dict[str, int] = {}
     total = 0
     for name in sorted(index):
         header, packed = load_bits(name, index[name], chips, cycles)
@@ -114,35 +110,27 @@ def analyze_dumps(
             # A copy, so the result does not keep every chip's profile alive.
             profile = chip_profiles[strongest_vector(chip_profiles)].copy()
 
-        autocorr = None
-        bias = BiasReport(detected_period=None, template=None, notation=None,
-                          direction=0)
-        template = None
-        directions[name] = 0
+        autocorr = template = period = pattern = None
+        direction = 0
         try:
             autocorr = autocorrelation(profile)
-            period = dominant_period(autocorr, profile.size)
-            template = smooth_template(fold_template(column_ones, readings, period))
-            canonical, _ = canonical_cycle(template)
-            bias = BiasReport(
-                detected_period=period,
-                template=tuple(int(b) for b in canonical),
-                notation=cyclic_notation(canonical),
-                direction=0,  # filled in after the baseline pass
-            )
+            found = dominant_period(autocorr, profile.size)
+            template = smooth_template(fold_template(column_ones, readings, found))
         except (ConstantInput, NoPeriodicity, InsufficientData) as e:
             notes.append(f"{name}: no reliable bias period ({e})")
 
         if template is not None:
+            canonical, _ = canonical_cycle(template)
+            period, pattern = found, cyclic_notation(canonical)
             # The template phase is anchored to readout position 0 exactly
             # like the profile, so the direction is the zero-lag correlation
             # sign against the canonical (0-leading) cycle.
             reps = -(-profile.size // canonical.size)
             tiled = np.tile(canonical, reps)[: profile.size].astype(np.float64)
             try:
-                directions[name] = bias_direction(profile, tiled)
+                direction = bias_direction(profile, tiled)  # times the baseline's, below
             except ConstantInput:  # smoothing erased every run but one
-                notes.append(f"{name}: template {bias.notation} is constant; BD column is 0")
+                notes.append(f"{name}: template {pattern} is constant; BD column is 0")
             per_chip_mhw = mhw(packed, template, width).mean(axis=-1).tolist()
         else:
             per_chip_mhw = [fhw(chip, width) for chip in packed]
@@ -150,33 +138,24 @@ def analyze_dumps(
 
         mhw_lo, mhw_hi = min(per_chip_mhw), max(per_chip_mhw)
         entropy_lo, entropy_hi = entropy_range(mhw_lo, mhw_hi)
-        row = MetricsRow(
-            design=name,
-            wchd_min=min(per_chip_wchd),
-            wchd_max=max(per_chip_wchd),
-            mhw_min=mhw_lo,
-            mhw_max=mhw_hi,
-            entropy_min=entropy_lo,
-            entropy_max=entropy_hi,
-        )
-        results.append(DesignResult(
-            name=name,
-            depth=header.depth,
-            width=header.width,
-            mux=header.mux,
-            speed_class=header.speed_class,
-            orientation=header.orient,
-            metrics=row,
-            bias=bias,
-            profile=profile,
-            autocorr=autocorr,
-        ))
+        row = {
+            "design": name, "depth": header.depth,
+            "width": width, "mux": header.mux,
+            "class": header.speed_class, "orientation": header.orient,
+            "wchd_min": min(per_chip_wchd), "wchd_max": max(per_chip_wchd),
+            "mhw_min": mhw_lo, "mhw_max": mhw_hi,
+            "entropy_min": entropy_lo, "entropy_max": entropy_hi,
+            "period": period, "pattern": pattern,
+            "direction": direction,
+        }
+        check_row(row)
+        results.append(DesignResult(row, profile, autocorr))
 
-    base_dir = directions.get(baseline, 0)
+    base_dir = next(r.row["direction"] for r in results if r.name == baseline)
     if base_dir == 0:
         notes.append(f"baseline {baseline} has no bias direction; BD column is 0")
-    for result in results:
-        result.bias = replace(result.bias, direction=directions[result.name] * base_dir)
+    for r in results:
+        r.row["direction"] *= base_dir
 
     if total != REFERENCE_TOTAL_BITS:
         notes.append(
@@ -195,12 +174,7 @@ def analyze_dumps(
         "seed": seed,
     }
     if params is not None:
-        meta["params"] = {
-            "sigma_mismatch": params.sigma_mismatch,
-            "sigma_noise": params.sigma_noise,
-            "beta": params.beta,
-            "gradient": list(params.gradient),
-        }
+        meta["params"] = {**vars(params), "gradient": list(params.gradient)}
     return RunAnalysis(meta=meta, notes=notes, results=results)
 
 
@@ -219,26 +193,7 @@ def _column_ones(rows: np.ndarray, width: int) -> np.ndarray:
 
 def analysis_to_report(run: RunAnalysis) -> dict:
     """JSON-ready report structure (drops the bulky plot vectors)."""
-    rows = []
-    for r in run.results:
-        rows.append({
-            "design": r.name,
-            "depth": r.depth,
-            "width": r.width,
-            "mux": r.mux,
-            "class": r.speed_class,
-            "orientation": r.orientation,
-            "wchd_min": r.metrics.wchd_min,
-            "wchd_max": r.metrics.wchd_max,
-            "mhw_min": r.metrics.mhw_min,
-            "mhw_max": r.metrics.mhw_max,
-            "entropy_min": r.metrics.entropy_min,
-            "entropy_max": r.metrics.entropy_max,
-            "period": r.bias.detected_period,
-            "pattern": r.bias.notation,
-            "direction": r.bias.direction,
-        })
-    return {"meta": run.meta, "notes": run.notes, "rows": rows}
+    return {"meta": run.meta, "notes": run.notes, "rows": [r.row for r in run.results]}
 
 
 # Element i holds the ASCII bytes of "%04d" % i, so one gather moves four digits.

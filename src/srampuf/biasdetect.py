@@ -12,8 +12,6 @@ way the bias pushes relative to a baseline design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Zero-padding of the autocorrelation spectrum, in multiples of its length.
@@ -34,16 +32,6 @@ class NoPeriodicity(ValueError):
 
 class InsufficientData(ValueError):
     """Not enough observations for the requested statistic."""
-
-
-@dataclass(frozen=True)
-class BiasReport:
-    """Outcome of bias detection for one design."""
-
-    detected_period: int | None
-    template: tuple[int, ...] | None
-    notation: str | None
-    direction: int  # -1, 0, +1 vs baseline
 
 
 def _next_pow2(n: int) -> int:

@@ -5,10 +5,11 @@ written together.  ``manifest.txt`` adds a ``server_cycle <chip> <cycle>
 <index>`` line for each power-up the server counted under another index.
 
 The reader finds dumps by the names ``dump_filename`` gives and refuses any
-other ``.pufdump`` name.  It reads each dump once and checks its header
-against the file name and the design's first dump.  A design's dumps decode
-as one stack, or, if any is not the writer's bytes, one by one, and stay
-packed: each word's big-endian bytes as ``decode_dump`` gives them.
+other ``.pufdump`` name.  It checks each dump's header against the file name
+and the design's first dump.  A design's dumps are read once and decode as
+one stack, or, if any is not the writer's bytes, are read again and decode
+one by one.  They stay packed: each word's big-endian bytes as
+``decode_dump`` gives them.
 """
 
 from __future__ import annotations
@@ -112,35 +113,37 @@ def grid(index: dict[str, dict]) -> tuple[list[int], list[int]]:
 
 
 def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.ndarray]:
-    """First header and the packed readings, reading each file once.
+    """First header and the packed readings.
 
     A reading is its words' big-endian bytes in address order, as ``decode_dump``
     gives them, bits past the width zero: (chips, cycles, depth * ceil(width/8))
     uint8, one bit per bit.  Dumps that are the writer's bytes for their names
-    decode as one stack; else ``decode_dump`` takes the bytes read file by file
-    and raises the first error.
+    are read once, their bodies copied into one buffer as they are read, and
+    decode as one stack.  Else every dump is read again in grid order, and
+    ``decode_dump`` decodes it or the first error is raised.
     """
     keys = list(itertools.product(chips, cycles))
-    raws, failed = [], None
-    try:
-        for key in keys:
-            raws.append(files[key].read_bytes())
-    except OSError as e:  # raised in its turn, after any error in an earlier dump
-        failed = e
-    first = None if failed else written_header(raws[0])
-    if first is not None:
-        heads = [header_text(replace(first, design=design, chip=chip, cycle=cycle)).encode()
-                 for chip, cycle in keys]
-        bodies = [memoryview(raw)[len(head):] if raw.startswith(head) else b""  # too short
-                  for raw, head in zip(raws, heads)]
-        if (octets := decode_bodies(first, bodies)) is not None:
-            return first, octets.reshape(len(chips), len(cycles), -1)
+    try:  # each body goes into one buffer before the next file is read
+        raw = files[keys[0]].read_bytes()
+        if (first := written_header(raw)) is not None:
+            size = len(raw) - len(header_text(first))
+            joined = bytearray(size * len(keys))
+            for n, (chip, cycle) in enumerate(keys):
+                raw = files[(chip, cycle)].read_bytes() if n else raw
+                head = header_text(replace(first, design=design, chip=chip, cycle=cycle)).encode()
+                # A body of another length could start the next dump's lines.
+                if len(raw) != len(head) + size or not raw.startswith(head):
+                    break
+                joined[n * size:(n + 1) * size] = memoryview(raw)[len(head):]
+            else:
+                if (octets := decode_bodies(first, joined, len(keys))) is not None:
+                    return first, octets.reshape(len(chips), len(cycles), -1)
+    except OSError:  # the file-by-file pass raises it in its turn
+        pass
     first = packed = None
     for n, (chip, cycle) in enumerate(keys):
-        if n == len(raws):
-            raise failed
         with _named(path := files[(chip, cycle)]):
-            header, octets = decode_dump(raws[n])
+            header, octets = decode_dump(path.read_bytes())
         got = vars(header)  # field name -> value, in field order
         expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
         if got != expected:

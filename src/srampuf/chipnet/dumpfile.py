@@ -16,10 +16,11 @@ writer and the header parser both refuse any other geometry.
 ``format_dump`` is the format.  ``decode_dump`` gives each word's
 big-endian bytes, bits past the width zero: the packed form analysis
 counts on, which ``parse_dump`` views as words and ``unpack_octets``
-unpacks into bits.  Its fast path, ``decode_bodies``, decodes the digit
-columns of one or many bodies at once and keeps the result only when each
-dump is what ``format_dump`` writes: the same header lines, addresses,
-separators and newlines, lowercase hex and no bit past the width.
+unpacks into bits.  Its fast path, ``decode_bodies``, decodes in place
+one buffer of one or many bodies laid end to end, and keeps the result
+only when each dump is what ``format_dump`` writes: the same header lines,
+addresses, separators and newlines, lowercase hex and no bit past the
+width.
 Everything else goes to a line-by-line regex loop, which also accepts CRLF
 line ends and a missing final newline, and names the first bad line.
 """
@@ -155,9 +156,10 @@ def unpack_octets(octets: np.ndarray, width: int) -> np.ndarray:
 
 def decode_dump(raw: bytes) -> tuple[DumpHeader, np.ndarray]:
     """Header and the big-endian bytes of each word, shaped (depth, ceil(width/8))."""
-    header = written_header(raw)
-    if header and (octets := decode_bodies(header, [raw[len(header_text(header)):]])) is not None:
-        return header, octets
+    if (header := written_header(raw)) is not None:
+        body = bytearray(memoryview(raw)[len(header_text(header)):])
+        if (octets := decode_bodies(header, body, 1)) is not None:
+            return header, octets
     header, words = _parse_lines(raw.decode("utf-8"))
     return header, words_to_octets(words, header.width)
 
@@ -171,14 +173,15 @@ def written_header(raw: bytes) -> DumpHeader | None:
     return header if raw.startswith(header_text(header).encode("ascii")) else None
 
 
-def decode_bodies(header: DumpHeader, bodies) -> np.ndarray | None:
-    """Big-endian bytes of every word of ``bodies`` (bytes-like), shaped (N * depth,
-    ceil(width/8)), if each is the body ``format_dump`` writes for ``header``, else None."""
+def decode_bodies(header: DumpHeader, joined: bytearray, count: int) -> np.ndarray | None:
+    """Big-endian bytes of every word of the ``count`` bodies laid end to end in
+    ``joined``, shaped (count * depth, ceil(width/8)), if each is the body
+    ``format_dump`` writes for ``header``, else None.  Decodes in place: the
+    digits in ``joined`` are overwritten."""
     digits, size = word_hex_width(header.width), word_byte_width(header.width)
     blank = _blank_body(header.depth, digits)
-    if any(len(body) != len(blank) for body in bodies):
+    if len(joined) != count * len(blank):
         return None
-    joined = bytearray().join(bodies)
     body = np.frombuffer(joined, dtype=np.uint8).reshape(-1, digits + 7)
     # Left-pad each word to whole bytes and read its digits as big-endian bytes.
     padded = np.full((body.shape[0], 2 * size), ord("0"), dtype=np.uint8)

@@ -187,15 +187,15 @@ class ChipServer:
         listener.bind((self._host, self._port))
         listener.listen(8)
         self._listener = listener
-        self._accept_thread = threading.Thread(target=self._accept_loop, name="srampuf-accept",
-                                               daemon=True)
+        self._accept_thread = threading.Thread(target=self._accept_loop, args=(listener,),
+                                               name="srampuf-accept", daemon=True)
         self._accept_thread.start()
         return self.endpoint
 
-    def _accept_loop(self) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
         while True:
             try:
-                conn, _ = self._listener.accept()
+                conn, _ = listener.accept()
             except OSError:  # the listener was shut down
                 break
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -216,6 +216,7 @@ class ChipServer:
             self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
+        self._listener = None  # the accept thread holds its own reference
         with self._lock:
             live = list(self._sessions.items())
         for session, _ in live:

@@ -9,7 +9,7 @@ popcount kernel, so packed readings are never unpacked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,28 +31,6 @@ class OutOfRange(ValueError):
 
 class CalibrationFailed(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    """Per-design summary ranges, each pair ordered min <= max."""
-
-    design: str
-    wchd_min: float
-    wchd_max: float
-    mhw_min: float
-    mhw_max: float
-    entropy_min: float
-    entropy_max: float
-
-    def __post_init__(self) -> None:
-        for lo, hi in (
-            (self.wchd_min, self.wchd_max),
-            (self.mhw_min, self.mhw_max),
-            (self.entropy_min, self.entropy_max),
-        ):
-            if not 0.0 <= lo <= hi <= 1.0:
-                raise OutOfRange(f"range [{lo}, {hi}] not ordered within [0, 1]")
 
 
 def _as_bits(x) -> np.ndarray:

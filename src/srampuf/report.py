@@ -40,19 +40,26 @@ def load_report(path) -> dict:
     return report
 
 
-def _verify_entropy(row: dict) -> None:
-    """The entropy columns must restate the MHW endpoints exactly."""
+def check_row(row: dict) -> None:
+    """Each min/max pair must lie ordered within [0, 1], and the entropy
+    columns must restate the MHW endpoints exactly."""
+    design = row.get("design", "?")
+    for key in ("wchd", "mhw", "entropy"):
+        lo, hi = row[f"{key}_min"], row[f"{key}_max"]
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ReportParseError(f"{design}: {key} range [{lo}, {hi}] is not "
+                                   f"ordered within [0, 1]")
     expect_min, expect_max = entropy_range(row["mhw_min"], row["mhw_max"])
     if (abs(expect_min - row["entropy_min"]) > 1e-9
             or abs(expect_max - row["entropy_max"]) > 1e-9):
         raise ReportParseError(
-            f"{row.get('design', '?')}: entropy columns do not match the MHW "
+            f"{design}: entropy columns do not match the MHW "
             f"endpoints (expected {expect_min:.6f}/{expect_max:.6f})"
         )
 
 
 def _row_cells(row: dict) -> tuple[str, ...]:
-    _verify_entropy(row)
+    check_row(row)
     return (
         str(row["design"]),
         f"{row['wchd_min'] * 100:.1f}-{row['wchd_max'] * 100:.1f}",

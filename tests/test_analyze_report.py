@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import majority_template, parse_rendered_table, write_columns
+from srampuf import analyze
 from srampuf.analyze import (
     PROFILE_MODES,
     MissingBaseline,
@@ -34,7 +35,7 @@ from srampuf.biasdetect import (
     smooth_template,
     strongest_vector,
 )
-from srampuf.chipnet.dumpdir import dump_filename, write_cycle
+from srampuf.chipnet.dumpdir import dump_filename, load_bits, write_cycle
 from srampuf.chipnet.dumpfile import (
     DumpHeader,
     bits_to_words,
@@ -43,7 +44,7 @@ from srampuf.chipnet.dumpfile import (
     words_to_bits,
 )
 from srampuf.layout import Geometry, Orientation, PlacedMacro
-from srampuf.metrics import mhw, min_entropy_by_one_probability, wchd
+from srampuf.metrics import entropy_range, mhw, min_entropy_by_one_probability, wchd
 from srampuf.patterns import canonical_cycle, parse_run_length
 from srampuf.report import ReportParseError, load_report, render_table, save_report
 from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
@@ -74,6 +75,11 @@ def write_bank_dumps(dirpath, designs, seed, chips, cycles):
                         [bits_to_words(snaps[d.name].bits) for d in designs])
 
 
+def _template(row):
+    """The canonical template a row's pattern and period stand for."""
+    return parse_run_length(row["pattern"]).bits(row["period"])
+
+
 @pytest.fixture(scope="module")
 def small_analysis(small_run):
     return analyze_dumps(small_run["dumps"])
@@ -85,29 +91,28 @@ def test_analysis_covers_every_design_in_order(small_analysis):
 
 def test_detected_periods(small_analysis):
     for r in small_analysis.results:
-        assert r.bias.detected_period == EXPECTED_PERIODS[r.name]
+        assert r.row["period"] == EXPECTED_PERIODS[r.name]
 
 
 def test_bias_directions_follow_the_orientation_grouping(small_analysis):
     for r in small_analysis.results:
-        assert r.bias.direction == EXPECTED_DIRECTIONS[r.name], r.name
+        assert r.row["direction"] == EXPECTED_DIRECTIONS[r.name], r.name
 
 
 def test_notation_parses_back_to_the_detected_period(small_analysis):
     for r in small_analysis.results:
-        pattern = parse_run_length(r.bias.notation)
-        assert pattern.period == r.bias.detected_period
-        assert len(r.bias.template) == r.bias.detected_period
+        pattern = parse_run_length(r.row["pattern"])
+        assert pattern.period == r.row["period"]
         # canonical templates lead with a zero
-        assert r.bias.template[0] == 0
+        assert _template(r.row)[0] == 0
 
 
 def test_metric_bands_are_plausible(small_analysis):
     for r in small_analysis.results:
-        m = r.metrics
-        assert 0.04 <= m.wchd_min <= m.wchd_max <= 0.09
-        assert 0.44 <= m.mhw_min <= m.mhw_max <= 0.52
-        assert m.entropy_min <= m.entropy_max <= 1.0
+        m = r.row
+        assert 0.04 <= m["wchd_min"] <= m["wchd_max"] <= 0.09
+        assert 0.44 <= m["mhw_min"] <= m["mhw_max"] <= 0.52
+        assert m["entropy_min"] <= m["entropy_max"] <= 1.0
 
 
 def test_profile_and_autocorr_shapes(small_analysis):
@@ -134,9 +139,9 @@ def test_top_chip_mode_degrades_but_does_not_fail(small_run):
     run = analyze_dumps(small_run["dumps"], profile_mode="top-chip")
     by_name = {r.name: r for r in run.results}
     # the single strongest chip still resolves the short periods
-    assert by_name["P4_a"].bias.detected_period == 32
+    assert by_name["P4_a"].row["period"] == 32
     # but the baseline profile is too thin, so directions collapse to 0
-    assert all(r.bias.direction == 0 for r in run.results)
+    assert all(r.row["direction"] == 0 for r in run.results)
     assert any("baseline" in n for n in run.notes)
 
 
@@ -174,8 +179,8 @@ def test_analysis_equals_the_per_reading_computation(small_run, profile_mode):
                     for chip in chips]
         per_chip_wchd = [float(np.mean([wchd(chip[0], recon) for recon in chip[1:]]))
                          for chip in readings]
-        assert (r.metrics.wchd_min, r.metrics.wchd_max) == (min(per_chip_wchd),
-                                                            max(per_chip_wchd))
+        assert (r.row["wchd_min"], r.row["wchd_max"]) == (min(per_chip_wchd),
+                                                          max(per_chip_wchd))
         flat = [reading for chip in readings for reading in chip]
         if profile_mode == "mean":
             profile = np.mean(flat, axis=0)
@@ -183,15 +188,15 @@ def test_analysis_equals_the_per_reading_computation(small_run, profile_mode):
             chip_profiles = np.mean(readings, axis=1)
             profile = chip_profiles[strongest_vector(chip_profiles)]
         assert np.array_equal(r.profile, profile)
-        if r.bias.template is None:
+        if r.row["period"] is None:
             per_chip_mhw = [float(np.mean(chip)) for chip in readings]
         else:
-            template = smooth_template(extract_template(flat, r.bias.detected_period))
-            assert tuple(canonical_cycle(template)[0].tolist()) == r.bias.template
+            template = smooth_template(extract_template(flat, r.row["period"]))
+            assert np.array_equal(canonical_cycle(template)[0], _template(r.row))
             per_chip_mhw = [float(np.mean([mhw(reading, template) for reading in chip]))
                             for chip in readings]
-        assert (r.metrics.mhw_min, r.metrics.mhw_max) == (min(per_chip_mhw),
-                                                          max(per_chip_mhw))
+        assert (r.row["mhw_min"], r.row["mhw_max"]) == (min(per_chip_mhw),
+                                                        max(per_chip_mhw))
 
 
 def test_profile_mode_validation(small_run):
@@ -245,26 +250,45 @@ def test_analyze_reads_each_dump_once_and_scan_opens_none(tmp_path, monkeypatch)
     assert reads == {path.name: 1 for path in dumps}
 
 
-def test_analysis_holds_each_design_packed(tmp_path):
-    design = entry("A", 64, 64, 4, Orientation.R0, "0(16)1(16)")
-    write_bank_dumps(tmp_path, (design,), 3, chips=range(16), cycles=range(16))
-    packed = 16 * 16 * design.geometry.cells // 8
-    analyze_dumps(tmp_path, baseline="A")  # imports and caches are not the pass's own
+def _traced_peak(call):
+    """``call()`` and the most memory tracemalloc saw above what was held before it."""
+    call()  # imports and caches are not the call's own
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        run = analyze_dumps(tmp_path, baseline="A")
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert run.results[0].bias.detected_period == 32
-    # Loading holds each dump's text twice (as read, and joined into one
-    # stack), its digits padded to whole bytes and the packed readings: about
-    # 9x the packed size, as a 64-bit word's dump line has 23 bytes for its 8.
-    # Unpacked to a byte per bit, the readings alone would take 8x.
+
+
+def _packed_design_dumps(tmp_path):
+    """16 x 16 dumps of one 64 x 64 design, and the bytes its packed readings take."""
+    design = entry("A", 64, 64, 4, Orientation.R0, "0(16)1(16)")
+    write_bank_dumps(tmp_path, (design,), 3, chips=range(16), cycles=range(16))
+    return 16 * 16 * design.geometry.cells // 8
+
+
+def test_load_bits_streams_the_dumps_into_one_buffer(tmp_path):
+    packed = _packed_design_dumps(tmp_path)
+    files = scan_dump_dir(tmp_path)["A"]
+    (_, octets), peak = _traced_peak(lambda: load_bits("A", files, range(16), range(16)))
+    assert octets.nbytes == packed
+    # One buffer of bodies (a 64-bit word's dump line has 23 bytes for its 8),
+    # the digits padded to whole bytes (16) and the packed readings: about 6x.
+    # Holding every dump's bytes while joining their bodies took about 10x.
+    assert peak < 7 * packed, f"peak {peak} B for {packed} B of packed readings"
+
+
+def test_analysis_holds_each_design_packed(tmp_path):
+    packed = _packed_design_dumps(tmp_path)
+    run, peak = _traced_peak(lambda: analyze_dumps(tmp_path, baseline="A"))
+    assert run.results[0].row["period"] == 32
+    # Loading takes about 6x the packed size (see the test above).  The
+    # column sums unpack up to UNPACK_BYTES at once: here all 1 MiB, 8x.
     assert peak < 14 * packed, f"peak {peak} B for {packed} B of packed readings"
 
 
@@ -321,10 +345,10 @@ def test_constant_design_reports_raw_weight(tmp_path):
     run = analyze_dumps(tmp_path, baseline="A")
     by_name = {r.name: r for r in run.results}
     c = by_name["C"]
-    assert c.bias.detected_period is None
-    assert c.bias.direction == 0
-    assert c.metrics.mhw_min == 1.0  # raw FHW of the all-ones design
-    assert c.metrics.entropy_min == 0.0
+    assert c.row["period"] is None and c.row["pattern"] is None
+    assert c.row["direction"] == 0
+    assert c.row["mhw_min"] == 1.0  # raw FHW of the all-ones design
+    assert c.row["entropy_min"] == 0.0
     assert any("C: no reliable bias period" in n for n in run.notes)
     assert any("raw FHW" in n for n in run.notes)
 
@@ -336,15 +360,15 @@ def test_constant_template_gives_bd_0_and_a_note(tmp_path):
     write_bank_dumps(tmp_path, designs, 0, chips=[0, 1, 2], cycles=[0, 1, 2])
     run = analyze_dumps(tmp_path, baseline="A")
     by_name = {r.name: r for r in run.results}
-    assert by_name["A"].bias.direction == 1
+    assert by_name["A"].row["direction"] == 1
     c = by_name["C"]
-    assert c.bias.direction == 0
-    assert set(c.bias.template) == {0}
+    assert c.row["direction"] == 0
+    assert set(_template(c.row).tolist()) == {0}
     assert any(n.startswith("C: ") and "constant" in n for n in run.notes)
     bits = np.array([read_bits(tmp_path / dump_filename("C", chip, cycle))
                      for chip in range(3) for cycle in range(3)])
     per_chip_mhw = mhw(bits, np.zeros(1, dtype=np.uint8)).reshape(3, 3).mean(axis=1)
-    assert (c.metrics.mhw_min, c.metrics.mhw_max) == (per_chip_mhw.min(), per_chip_mhw.max())
+    assert (c.row["mhw_min"], c.row["mhw_max"]) == (per_chip_mhw.min(), per_chip_mhw.max())
 
 
 def test_write_plot_data(small_analysis, tmp_path):
@@ -477,6 +501,37 @@ def test_render_rejects_inconsistent_entropy():
     row["entropy_min"] = 0.5
     with pytest.raises(ReportParseError):
         render_table({"rows": [row]})
+
+
+ROW_RANGE_CASES = [  # changes to report_row(), and the range the row check refuses
+    ({"wchd_min": 0.05, "wchd_max": 0.09}, None),
+    ({"wchd_min": 0.09, "wchd_max": 0.05}, "wchd"),  # min > max
+    ({"mhw_max": 1.62}, "mhw"),  # max > 1
+    ({"wchd_min": -0.1}, "wchd"),  # min < 0
+]
+
+
+def test_render_checks_row_ranges():
+    for changes, refused in ROW_RANGE_CASES:
+        report = {"rows": [{**report_row(), **changes}]}
+        if refused is None:
+            assert len(render_table(report).splitlines()) == 3
+            continue
+        with pytest.raises(ReportParseError, match=f"^P3: {refused} range "):
+            render_table(report)
+
+
+@pytest.mark.parametrize("kernel,fake,refused", [
+    ("wchd", lambda a, b, width: np.full(b.shape[:2], 1.5), "wchd"),  # max > 1
+    ("wchd", lambda a, b, width: np.full(b.shape[:2], -0.1), "wchd"),  # min < 0
+    ("entropy_range", lambda lo, hi: entropy_range(lo, hi)[::-1], "entropy"),  # min > max
+], ids=["max above 1", "min below 0", "min above max"])
+def test_analysis_checks_each_row_it_builds(tmp_path, monkeypatch, kernel, fake, refused):
+    write_bank_dumps(tmp_path, SMALL, 1, chips=[0, 1], cycles=[0, 1])
+    assert len(analyze_dumps(tmp_path, baseline="A").results) == 2  # valid rows pass
+    monkeypatch.setattr(analyze, kernel, fake)
+    with pytest.raises(ReportParseError, match=f"^A: {refused} range "):
+        analyze_dumps(tmp_path, baseline="A")
 
 
 def test_render_empty_report_is_header_only():

@@ -46,7 +46,9 @@ HEADER = DumpHeader(
 def _fast_path(raw: bytes):
     """The stack decoder's octets for one whole dump; None unless format_dump wrote it."""
     header = written_header(raw)
-    return None if header is None else decode_bodies(header, [raw[len(header_text(header)):]])
+    if header is None:
+        return None
+    return decode_bodies(header, bytearray(raw[len(header_text(header)):]), 1)
 
 
 def test_dump_filename():

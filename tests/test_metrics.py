@@ -16,7 +16,6 @@ from srampuf.metrics import (
     CalibrationFailed,
     EmptyInput,
     LengthMismatch,
-    MetricsRow,
     OutOfRange,
     calibrate_noise,
     fhw,
@@ -212,16 +211,6 @@ def test_min_entropy_is_symmetric(p):
     b = min_entropy_by_one_probability(1.0 - p)
     assert a == pytest.approx(b, abs=1e-12)
     assert 0.0 <= a <= 1.0
-
-
-def test_metrics_row_validates_ranges():
-    MetricsRow("P1", 0.05, 0.09, 0.39, 0.62, 0.68, 1.0)
-    with pytest.raises(OutOfRange):
-        MetricsRow("P1", 0.09, 0.05, 0.39, 0.62, 0.68, 1.0)
-    with pytest.raises(OutOfRange):
-        MetricsRow("P1", 0.05, 0.09, 0.39, 1.62, 0.68, 1.0)
-    with pytest.raises(OutOfRange):
-        MetricsRow("P1", -0.1, 0.09, 0.39, 0.62, 0.68, 1.0)
 
 
 def test_calibrate_noise_zero_target_is_noiseless():

@@ -213,6 +213,20 @@ def test_shutdown_twice_or_before_start_returns():
         s.shutdown()  # and once more on leaving the block
 
 
+def test_endpoint_after_shutdown_says_not_started_and_start_works_again():
+    s = ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED)
+    with s:
+        s.endpoint
+    with pytest.raises(RuntimeError, match="^server not started$"):
+        s.endpoint
+    with s:
+        sock = raw_session(s)
+        try:
+            assert command(sock, bytes([wire.OP_SELECT_CHIP, 3])).data == 3
+        finally:
+            sock.close()
+
+
 def test_reads_match_the_chip_bank(server):
     client = HarnessClient(server.endpoint)
     try:
