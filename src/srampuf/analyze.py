@@ -12,7 +12,8 @@ array of word bytes, one bit per bit, which is never unpacked whole.  Every
 statistic is an exact integer count over its axes: one packed ``wchd`` call
 per design XORs all reconstructions with their enrollment and popcounts
 them, one packed ``mhw`` call covers every reading, and the template folds
-the column sums of all readings, unpacked ``UNPACK_BYTES`` at a time.
+the column sums of all readings, unpacked ``UNPACK_BYTES`` at a time as
+the bytes are stored; only the sums are put in bit order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .biasdetect import (
     strongest_vector,
 )
 from .chipnet.dumpdir import grid, load_bits, read_plan, scan_dump_dir
-from .chipnet.dumpfile import unpack_octets, word_byte_width
+from .chipnet.dumpfile import word_byte_width
 from .metrics import entropy_range, fhw, mhw, wchd
 from .patterns import canonical_cycle, cyclic_notation
 from .report import check_row
@@ -179,16 +180,17 @@ def analyze_dumps(
 
 
 def _column_ones(rows: np.ndarray, width: int) -> np.ndarray:
-    """Ones at each bit position over packed ``rows``, unpacking a block of rows at a time."""
-    size = word_byte_width(width)
-    cells = rows.shape[-1] // size * width
-    block = max(1, UNPACK_BYTES // cells)
-    ones = np.zeros(cells, dtype=np.uint32)
+    """Ones at each bit position over packed ``rows``, unpacking a block of rows at a time.
+
+    Each word unpacks most significant bit first; its sums are then reversed
+    into bit order and cut to ``width``.
+    """
+    bits = rows.shape[-1] * 8
+    block = max(1, UNPACK_BYTES // bits)
+    ones = np.zeros(bits, dtype=np.uint32)
     for start in range(0, len(rows), block):
-        chunk = rows[start:start + block]
-        ones += unpack_octets(chunk.reshape(-1, size), width).reshape(len(chunk), cells).sum(
-            axis=0, dtype=np.uint32)
-    return ones
+        ones += np.unpackbits(rows[start:start + block], axis=-1).sum(axis=0, dtype=np.uint32)
+    return ones.reshape(-1, word_byte_width(width) * 8)[:, ::-1][:, :width].ravel()
 
 
 def analysis_to_report(run: RunAnalysis) -> dict:

@@ -2,19 +2,20 @@
 
 The pipeline: concatenate readings in readout order, estimate the
 per-position one-probability profile, autocorrelate it, locate the
-dominant period in the autocorrelation spectrum (zero-padded
-``PAD_FACTOR`` times, peak ``SIGNIFICANCE`` times above the in-band
-median), fold the raw bits at that period into a majority template (at
-least ``MIN_SAMPLES`` observations per phase) smoothed by a three-phase
-vote, and take the zero-lag correlation of two profiles to decide which
-way the bias pushes relative to a baseline design.
+dominant period in the autocorrelation spectrum (transformed over
+``PAD_FACTOR`` times the lag span, rounded up to a power of two, peak
+``SIGNIFICANCE`` times above the in-band median), fold the raw bits at
+that period into a majority template (at least ``MIN_SAMPLES``
+observations per phase) smoothed by a three-phase vote, and take the
+zero-lag correlation of two profiles to decide which way the bias pushes
+relative to a baseline design.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Zero-padding of the autocorrelation spectrum, in multiples of its length.
+# Zero-padding of the autocorrelation spectrum, in multiples of its lag span.
 PAD_FACTOR = 8
 # A period counts when its spectral peak is this many times the in-band median.
 SIGNIFICANCE = 5.0
@@ -68,10 +69,11 @@ def dominant_period(r, n: int) -> int:
     """Period of the strongest repeating component of an autocorrelation.
 
     ``r`` comes from :func:`autocorrelation`; ``n`` is the original vector
-    length, bounding the admissible periods to [2, n/2].  The peak of the
-    magnitude spectrum of r, zero-padded ``PAD_FACTOR`` times, must stand
-    ``SIGNIFICANCE`` times above the in-band median; the (generally
-    fractional) spectral period then snaps to the nearby integer whose
+    length, bounding the admissible periods to [2, n/2].  The magnitude
+    spectrum of r is taken over ``PAD_FACTOR`` times its lag span (the
+    ``r.size - 1`` lags past zero), rounded up to a power of two; its peak
+    must stand ``SIGNIFICANCE`` times above the in-band median; the
+    (generally fractional) spectral period then snaps to the nearby integer whose
     multiples carry the highest mean autocorrelation, which is exact for
     periods that do not divide the transform length.
     """
@@ -82,7 +84,7 @@ def dominant_period(r, n: int) -> int:
     max_period = min(n // 2, r.size - 1)
     if max_period < min_period:
         raise InsufficientData(f"no admissible periods for n={n}")
-    nfft = _next_pow2(PAD_FACTOR * r.size)
+    nfft = _next_pow2(PAD_FACTOR * (r.size - 1))
     spec = np.abs(np.fft.rfft(r - r.mean(), nfft))
     k_lo = max(1, -(-nfft // max_period))
     k_hi = min(spec.size - 1, nfft // min_period)

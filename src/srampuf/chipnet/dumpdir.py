@@ -6,18 +6,18 @@ written together.  ``manifest.txt`` adds a ``server_cycle <chip> <cycle>
 
 The reader finds dumps by the names ``dump_filename`` gives and refuses any
 other ``.pufdump`` name.  It checks each dump's header against the file name
-and the design's first dump.  A design's dumps are read once and decode as
-one stack, or, if any is not the writer's bytes, are read again and decode
-one by one.  They stay packed: each word's big-endian bytes as
-``decode_dump`` gives them.
+and the design's first dump.  A design's dumps are read once, each body
+straight into its slot of one buffer, and decode as one stack, or, if any
+is not the writer's bytes, are read again and decode one by one.  They
+stay packed: each word's big-endian bytes as ``decode_dump`` gives them.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ import numpy as np
 from ..biasdetect import InsufficientData
 from ..floorplan import format_config, load_config
 from ..simchip import DesignEntry, ProcessParams
-from .dumpfile import (DumpFormatError, DumpHeader, decode_bodies, decode_dump, format_dump,
-                       header_text, written_header)
+from .dumpfile import (DumpFormatError, DumpHeader, chip_line, decode_bodies, decode_dump,
+                       format_dump, header_text, written_header)
 
 MANIFEST_NAME = "manifest.txt"
 FLOORPLAN_NAME = "floorplan.cfg"
@@ -118,26 +118,15 @@ def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.n
     A reading is its words' big-endian bytes in address order, as ``decode_dump``
     gives them, bits past the width zero: (chips, cycles, depth * ceil(width/8))
     uint8, one bit per bit.  Dumps that are the writer's bytes for their names
-    are read once, their bodies copied into one buffer as they are read, and
-    decode as one stack.  Else every dump is read again in grid order, and
+    are read once, each body straight into its slot of one buffer, and decode
+    as one stack.  Else every dump is read again in grid order, and
     ``decode_dump`` decodes it or the first error is raised.
     """
     keys = list(itertools.product(chips, cycles))
-    try:  # each body goes into one buffer before the next file is read
-        raw = files[keys[0]].read_bytes()
-        if (first := written_header(raw)) is not None:
-            size = len(raw) - len(header_text(first))
-            joined = bytearray(size * len(keys))
-            for n, (chip, cycle) in enumerate(keys):
-                raw = files[(chip, cycle)].read_bytes() if n else raw
-                head = header_text(replace(first, design=design, chip=chip, cycle=cycle)).encode()
-                # A body of another length could start the next dump's lines.
-                if len(raw) != len(head) + size or not raw.startswith(head):
-                    break
-                joined[n * size:(n + 1) * size] = memoryview(raw)[len(head):]
-            else:
-                if (octets := decode_bodies(first, joined, len(keys))) is not None:
-                    return first, octets.reshape(len(chips), len(cycles), -1)
+    try:
+        if (stack := _read_bodies(design, files, keys)) is not None:
+            if (octets := decode_bodies(*stack, len(keys))) is not None:
+                return stack[0], octets.reshape(len(chips), len(cycles), -1)
     except OSError:  # the file-by-file pass raises it in its turn
         pass
     first = packed = None
@@ -155,6 +144,37 @@ def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.n
             packed = np.empty((len(keys), octets.size), np.uint8)
         packed[n] = octets.reshape(-1)
     return first, packed.reshape(len(chips), len(cycles), -1)
+
+
+def _readv(path: Path, buffers) -> int:
+    """Bytes one ``readv`` of ``path`` puts into ``buffers``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.readv(fd, buffers)
+    finally:
+        os.close(fd)
+
+
+def _read_bodies(design: str, files: dict, keys: list) -> tuple[DumpHeader, bytearray] | None:
+    """First header and the dumps' bodies laid end to end, one read per dump, if
+    every header is the writer's for its name and every body the first's length."""
+    spare = bytearray(1)  # a read that reaches it ran past the expected end
+    raw = bytearray(files[keys[0]].stat().st_size)
+    first = written_header(raw) if _readv(files[keys[0]], [raw, spare]) == len(raw) else None
+    if first is None or (first.design, first.chip, first.cycle) != (design, *keys[0]):
+        return None
+    text = header_text(first)
+    prefix, size = text.removesuffix(chip_line(*keys[0])).encode(), len(raw) - len(text)
+    joined = bytearray(size * len(keys))
+    joined[:size] = memoryview(raw)[len(text):]
+    with memoryview(joined) as view:
+        for n, key in enumerate(keys[1:], 1):
+            head = bytearray(len(expected := prefix + chip_line(*key).encode()))
+            # A body of another length could start the next dump's lines.
+            if (_readv(files[key], [head, view[n * size:(n + 1) * size], spare])
+                    != len(head) + size or head != expected):
+                return None
+    return first, joined
 
 
 def read_plan(dump_dir) -> tuple[ProcessParams | None, int | None]:

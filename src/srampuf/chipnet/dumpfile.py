@@ -15,12 +15,11 @@ writer and the header parser both refuse any other geometry.
 
 ``format_dump`` is the format.  ``decode_dump`` gives each word's
 big-endian bytes, bits past the width zero: the packed form analysis
-counts on, which ``parse_dump`` views as words and ``unpack_octets``
-unpacks into bits.  Its fast path, ``decode_bodies``, decodes in place
-one buffer of one or many bodies laid end to end, and keeps the result
-only when each dump is what ``format_dump`` writes: the same header lines,
-addresses, separators and newlines, lowercase hex and no bit past the
-width.
+counts on, which ``parse_dump`` views as words.  Its fast path,
+``decode_bodies``, decodes in place one buffer of one or many bodies laid
+end to end, and keeps the result only when each dump is what
+``format_dump`` writes: the same header lines, addresses, separators and
+newlines, lowercase hex and no bit past the width.
 Everything else goes to a line-by-line regex loop, which also accepts CRLF
 line ends and a missing final newline, and names the first bad line.
 """
@@ -93,7 +92,12 @@ def header_text(header: DumpHeader) -> str:
     """The three header lines ``format_dump`` writes, each ending in a newline."""
     return (f"{MAGIC}\n#design {header.design} depth={header.depth} width={header.width} "
             f"mux={header.mux} orient={header.orient} class={header.speed_class}\n"
-            f"#chip {header.chip} cycle {header.cycle}\n")
+            + chip_line(header.chip, header.cycle))
+
+
+def chip_line(chip: int, cycle: int) -> str:
+    """The last header line, the only one that differs between a design's dumps."""
+    return f"#chip {chip} cycle {cycle}\n"
 
 
 @functools.lru_cache(maxsize=8)
@@ -147,11 +151,6 @@ def parse_dump(data: str | bytes) -> tuple[DumpHeader, np.ndarray]:
     header, octets = decode_dump(data.encode("utf-8") if isinstance(data, str) else data)
     words = np.pad(octets, ((0, 0), (8 - octets.shape[1], 0))).view(">u8").reshape(-1)
     return header, words.astype(np.uint64)
-
-
-def unpack_octets(octets: np.ndarray, width: int) -> np.ndarray:
-    """(words, width) bit matrix of big-endian word bytes; bit b of each word in column b."""
-    return np.unpackbits(octets[:, ::-1], axis=1, bitorder="little")[:, :width]
 
 
 def decode_dump(raw: bytes) -> tuple[DumpHeader, np.ndarray]:

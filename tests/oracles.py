@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet import protocol as wire
 from srampuf.chipnet.dumpdir import _NAMED, _named
-from srampuf.chipnet.dumpfile import decode_dump, unpack_octets
+from srampuf.chipnet.dumpfile import decode_dump
 from srampuf.layout import Geometry, Orientation, PlacedMacro
 from srampuf.patterns import parse_run_length
 from srampuf.simchip import (
@@ -135,6 +135,11 @@ def parse_dump_lines(text):
         assert int(address, 16) == addr
         words.append(int(word, 16))
     return np.array(words, dtype=np.uint64)
+
+
+def unpack_octets(octets: np.ndarray, width: int) -> np.ndarray:
+    """(words, width) bit matrix of big-endian word bytes; bit b of each word in column b."""
+    return np.unpackbits(octets[:, ::-1], axis=1, bitorder="little")[:, :width]
 
 
 def decode_bits(raw):

@@ -238,16 +238,20 @@ def test_analyze_reads_each_dump_once_and_scan_opens_none(tmp_path, monkeypatch)
         index = scan_dump_dir(tmp_path)
     assert sorted(p for files in index.values() for p in files.values()) == dumps
 
-    reads = collections.Counter()
-    read_bytes = Path.read_bytes
+    # Every way a file is opened, the file-by-file pass's read_bytes included.
+    opens = collections.Counter()
 
-    def counted(path):
-        reads[path.name] += 1
-        return read_bytes(path)
+    def counted(opener):
+        def open_counted(file, *args, **kwargs):
+            opens[Path(os.fspath(file)).name] += 1
+            return opener(file, *args, **kwargs)
+        return open_counted
 
-    monkeypatch.setattr(Path, "read_bytes", counted)
+    for module, name in ((builtins, "open"), (io, "open"), (os, "open")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     analyze_dumps(tmp_path, baseline="A")
-    assert reads == {path.name: 1 for path in dumps}
+    assert {name: n for name, n in opens.items() if name.endswith(".pufdump")} \
+        == {path.name: 1 for path in dumps}
 
 
 def _traced_peak(call):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import autocorr_direct, brute_force_period, majority_template
 from srampuf.biasdetect import (
+    PAD_FACTOR,
     ConstantInput,
     InsufficientData,
     NoPeriodicity,
@@ -125,6 +126,36 @@ def test_dominant_period_agrees_with_phase_folding_oracle():
         detected = dominant_period(autocorrelation(noisy), noisy.size)
         assert detected == planted
         assert brute_force_period(noisy) == planted
+
+
+# The default floorplan's planted periods.
+DEFAULT_PERIODS = (32, 58, 64, 128)
+
+
+@pytest.mark.parametrize("n", (16_384, 32_768))
+def test_dominant_period_agrees_with_the_oracle_on_default_periods(n):
+    """Profile lengths of the default floorplan's larger designs, flips up to 20%."""
+    for k in range(24):
+        planted = DEFAULT_PERIODS[k % 4]
+        noisy = noisy_tiling(planted, n, seed=778000 + n + k, flip_p=0.02 * (k % 11))
+        detected = dominant_period(autocorrelation(noisy), noisy.size)
+        assert detected == planted
+        assert brute_force_period(noisy) == planted
+
+
+def test_dominant_period_transforms_pad_factor_times_the_lag_span(monkeypatch):
+    n = 32_768  # r holds lags 0..n/2: a span of n/2, one lag past a power of two
+    r = autocorrelation(noisy_tiling(128, n, seed=5, flip_p=0.1))
+    sizes = []
+    rfft = np.fft.rfft
+
+    def sized(a, size=None, *args, **kwargs):
+        sizes.append(size)
+        return rfft(a, size, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", sized)
+    assert dominant_period(r, n) == 128
+    assert sizes == [PAD_FACTOR * n // 2]
 
 
 def test_extract_template_majority_of_constants():

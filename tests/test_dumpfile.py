@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import decode_bits, format_dump_lines, load_bits_per_file, parse_dump_lines
+from oracles import (decode_bits, format_dump_lines, load_bits_per_file, parse_dump_lines,
+                     unpack_octets)
 from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet import collector, dumpdir, dumpfile
 from srampuf.chipnet.dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, dump_filename, load_bits
@@ -28,7 +29,6 @@ from srampuf.chipnet.dumpfile import (
     header_text,
     parse_dump,
     parse_header,
-    unpack_octets,
     word_byte_width,
     word_hex_width,
     words_to_bits,
@@ -326,6 +326,34 @@ def test_load_bits_matches_the_per_file_oracle_on_a_mutated_dump(mutation, data)
     if mutation == "none":  # written dumps decode as one stack
         assert per_file.call_count == 0
         assert got[0] == headers[keys[0]]
+
+
+def _written_dumps(directory, header_design):
+    """2 x 2 dumps named for P4_b, as format_dump writes them for ``header_design``."""
+    words = np.arange(5, dtype=np.uint64)
+    files = {}
+    for key in itertools.product([0, 1], [0, 1]):
+        files[key] = Path(directory, dump_filename("P4_b", *key))
+        header = DumpHeader(header_design, 5, 12, 8, "MX", "slow", *key)
+        files[key].write_text(format_dump(header, words), encoding="ascii")
+    return files
+
+
+def test_load_bits_refuses_a_dump_with_bytes_past_its_body(tmp_path):
+    files = _written_dumps(tmp_path, "P4_b")
+    with open(files[(1, 0)], "ab") as fh:  # one line more than its depth
+        fh.write(b"0005: 005\n")
+    want = _load_outcome(load_bits_per_file, files, [0, 1], [0, 1])
+    assert want[0] is DumpFormatError
+    assert _load_outcome(_load_unpacked, files, [0, 1], [0, 1]) == want
+
+
+def test_load_bits_refuses_dumps_whose_headers_name_another_design(tmp_path):
+    files = _written_dumps(tmp_path, "P5_a")
+    want = _load_outcome(load_bits_per_file, files, [0, 1], [0, 1])
+    assert want == (InsufficientData,
+                    "P4_b_chip000_cycle00.pufdump: design disagrees with its file name")
+    assert _load_outcome(_load_unpacked, files, [0, 1], [0, 1]) == want
 
 
 def test_parse_round_trip():
