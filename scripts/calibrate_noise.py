@@ -8,7 +8,7 @@ fresh simulated bank as a sanity check.
 
 import argparse
 
-from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.layout import Geometry, Orientation
 from srampuf.metrics import calibrate_noise, mean_reconstruction_wchd
 from srampuf.simchip import DesignEntry, ProcessParams
 
@@ -21,11 +21,8 @@ def main():
                     help="chip power-ups the calibration may spend per probe")
     args = ap.parse_args()
 
-    probe = DesignEntry(
-        "probe",
-        PlacedMacro(Geometry(depth=1024, width=32, mux=8), Orientation.R90),
-        "0(16)1(16)",
-    )
+    probe = DesignEntry("probe", Geometry(depth=1024, width=32, mux=8), Orientation.R90,
+                        "0(16)1(16)")
     print("target   sigma_noise   measured")
     for target in args.targets:
         sigma = calibrate_noise(target, ProcessParams(), probe, args.budget)

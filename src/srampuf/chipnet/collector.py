@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..floorplan import DEFAULT_DESIGNS
 from ..simchip import DesignEntry, ProcessParams
 from . import protocol as wire
 from .dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, write_cycle, write_manifest  # noqa: F401
@@ -97,13 +96,6 @@ class HarnessClient:
         if echoed != chip:
             raise wire.ProtocolError(f"select echoed {echoed}, expected {chip}")
 
-    def power_on(self) -> int:
-        """Returns the server-side cycle index of this power-up."""
-        return self._control(bytes([wire.OP_POWER_ON]))
-
-    def power_off(self) -> None:
-        self._control(bytes([wire.OP_POWER_OFF]))
-
     def read_design(self, select: int, depth: int, width: int) -> np.ndarray:
         """All words of one design as uint64, from one write of all its reads."""
         self._send(wire.read_commands(select, depth))
@@ -147,9 +139,14 @@ def decode_power_up(frames, designs: tuple[DesignEntry, ...]) -> list[np.ndarray
 
 
 def collect(endpoint: tuple[str, int], chips: int, cycles: int, out_dir,
-            designs: tuple[DesignEntry, ...] | None = None,
-            params: ProcessParams | None = None, seed: int | None = None) -> list[Path]:
+            designs: tuple[DesignEntry, ...], params: ProcessParams,
+            seed: int | None = None) -> list[Path]:
     """Dump every (design, chip, cycle) reading from a running server.
+
+    ``designs`` and ``params`` are the server's plan and go to
+    ``floorplan.cfg``; ``seed`` goes to ``manifest.txt``, unless it is
+    ``None`` (unknown).  Each design must pass the server's
+    ``protocol.check_design`` before anything is written.
 
     Each power-up is one request and one block of reply frames.  The next
     power-up of the same chip is requested before this one's frames are
@@ -161,8 +158,8 @@ def collect(endpoint: tuple[str, int], chips: int, cycles: int, out_dir,
     if chips > wire.MAX_CHIP + 1:
         raise ValueError(f"chip ids are one byte, so at most {wire.MAX_CHIP + 1} chips, "
                          f"got {chips}")
-    designs = designs if designs is not None else DEFAULT_DESIGNS
-    params = params if params is not None else ProcessParams()
+    for select, d in enumerate(designs):
+        wire.check_design(select, d)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # The plan goes down first, so a collect cut short still leaves its

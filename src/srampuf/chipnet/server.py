@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from ..floorplan import DEFAULT_DESIGNS
 from ..simchip import ChipBank, DesignEntry, ProcessParams
 from . import protocol as wire
 
@@ -152,17 +151,20 @@ class _Session:
 
 
 class ChipServer:
-    """Serves a simulated chip bank; one thread per client session."""
+    """Serves ``ChipBank(designs, params, seed)``; one thread per client session.
+
+    The caller chooses the floorplan; each design must pass
+    ``protocol.check_design``.
+    """
 
     def __init__(
         self,
-        designs: tuple[DesignEntry, ...] | None = None,
-        params: ProcessParams | None = None,
-        seed: int = 0,
+        designs: tuple[DesignEntry, ...],
+        params: ProcessParams,
+        seed: int,
         host: str = "127.0.0.1",
         port: int = 0,
     ):
-        designs = designs if designs is not None else DEFAULT_DESIGNS
         for select, entry in enumerate(designs):
             wire.check_design(select, entry)
         self.bank = ChipBank(designs, params, seed)
@@ -236,8 +238,8 @@ class ChipServer:
 
 
 def serve(
-    designs: tuple[DesignEntry, ...] | None,
-    params: ProcessParams | None,
+    designs: tuple[DesignEntry, ...],
+    params: ProcessParams,
     seed: int,
     endpoint: tuple[str, int],
 ) -> None:

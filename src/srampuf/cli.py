@@ -47,14 +47,14 @@ def cmd_serve(args) -> int:
 
 def cmd_collect(args) -> int:
     params, designs = _load_plan(args.config)
-    if args.endpoint:
-        endpoint = _parse_endpoint(args.endpoint)
-        files = collect(endpoint, args.chips, args.cycles, args.out,
-                        designs=designs, params=params, seed=args.seed)
+    if args.endpoint:  # the server's seed is known only if given
+        files = collect(_parse_endpoint(args.endpoint), args.chips, args.cycles, args.out,
+                        designs, params, args.seed)
     else:
-        with ChipServer(designs, params, args.seed) as server:
+        seed = 0 if args.seed is None else args.seed
+        with ChipServer(designs, params, seed) as server:
             files = collect(server.endpoint, args.chips, args.cycles, args.out,
-                            designs=designs, params=params, seed=args.seed)
+                            designs, params, seed)
     print(f"wrote {len(files)} dump files to {args.out}")
     return 0
 
@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("collect", help="power-cycle chips and dump every reading")
     p.add_argument("--endpoint", help="server to contact; default runs one in-process")
     p.add_argument("--config", help="floorplan configuration")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=int, help="master seed (default 0); with --endpoint, "
+                   "the server's, recorded only when given")
     p.add_argument("--chips", type=int, default=50, help="number of chips")
     p.add_argument("--cycles", type=int, default=10, help="power cycles per chip")
     p.add_argument("--out", default="dumps", help="dump directory")

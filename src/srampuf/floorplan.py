@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 
 from .chipnet import protocol as wire
-from .layout import Geometry, LayoutError, Orientation, PlacedMacro
+from .layout import Geometry, LayoutError, Orientation
 from .patterns import parse_run_length
 from .simchip import DegenerateGradient, DesignEntry, ProcessParams, orientation_sign
 
@@ -52,11 +52,7 @@ def _entry(
     pattern: str,
 ) -> DesignEntry:
     g = Geometry(depth=depth, width=width, mux=mux, speed_class=speed)
-    return DesignEntry(
-        name=name,
-        placed=PlacedMacro(geometry=g, orientation=orient, origin=origin),
-        pattern=pattern,
-    )
+    return DesignEntry(name, g, orient, pattern, origin)
 
 
 # Eleven macros; readout select indices follow this order.  P1 is the
@@ -218,7 +214,7 @@ def format_config(params: ProcessParams, designs) -> str:
     stanzas = [("params", _PARAM_KEYS, vars(params).values())]
     stanzas += [(f"design {d.name}", _DESIGN_KEYS, (
         d.geometry.depth, d.geometry.width, d.geometry.mux, d.geometry.speed_class,
-        d.orientation.value, d.placed.origin, d.pattern)) for d in designs]
+        d.orientation.value, d.origin, d.pattern)) for d in designs]
     lines = ["# SRAM PUF workbench floorplan"]
     for header, table, values in stanzas:
         lines += ["", header]

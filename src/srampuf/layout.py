@@ -2,10 +2,10 @@
 
 A macro stores ``depth`` words of ``width`` bits and is read out
 address-major.  Its column mux ratio ``mux`` is validated and carried in
-the dump header, but the cell-level mux fold is not modelled: the only
-placement property the simulator uses is the orientation, whose operator
-maps the macro's local column axis onto the die (see
-``simchip.orientation_sign``).
+the dump header, but the cell-level mux fold is not modelled.  A placed
+macro is one ``simchip.DesignEntry``; the only placement property the
+simulator uses is its orientation, whose operator maps the macro's local
+column axis onto the die (see ``simchip.orientation_sign``).
 """
 
 from __future__ import annotations
@@ -78,15 +78,6 @@ class Geometry:
     @property
     def cells(self) -> int:
         return self.depth * self.width
-
-
-@dataclass(frozen=True)
-class PlacedMacro:
-    """``origin`` is kept in the floorplan file but affects no bit."""
-
-    geometry: Geometry
-    orientation: Orientation
-    origin: tuple[int, int] = (0, 0)
 
 
 def apply_orientation(o: Orientation, xy: tuple[int, int]) -> tuple[int, int]:

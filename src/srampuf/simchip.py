@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .layout import Geometry, Orientation, PlacedMacro, apply_orientation
+from .layout import Geometry, Orientation, apply_orientation
 from .patterns import parse_run_length
 
 DEFAULT_SIGMA_MISMATCH = 1.0
@@ -72,19 +72,16 @@ class ProcessParams:
 
 @dataclass(frozen=True)
 class DesignEntry:
-    """One named macro placement plus its imprint pattern."""
+    """One named macro: its shape, placement orientation and imprint pattern.
+
+    ``origin`` is kept in the floorplan file but affects no bit.
+    """
 
     name: str
-    placed: PlacedMacro
+    geometry: Geometry
+    orientation: Orientation
     pattern: str
-
-    @property
-    def geometry(self) -> Geometry:
-        return self.placed.geometry
-
-    @property
-    def orientation(self) -> Orientation:
-        return self.placed.orientation
+    origin: tuple[int, int] = (0, 0)
 
 
 def orientation_sign(params: ProcessParams, o: Orientation) -> int:
@@ -158,17 +155,12 @@ class ChipBank:
     chip by chip.
     """
 
-    def __init__(
-        self,
-        designs: Sequence[DesignEntry],
-        params: ProcessParams | None = None,
-        seed: int = 0,
-    ):
+    def __init__(self, designs: Sequence[DesignEntry], params: ProcessParams, seed: int):
         names = [d.name for d in designs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate design names in {names}")
         self.designs = tuple(designs)
-        self.params = params if params is not None else ProcessParams()
+        self.params = params
         self.seed = seed
         self._devices: dict[int, dict[str, DeviceArray]] = {}
 

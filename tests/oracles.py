@@ -28,7 +28,7 @@ from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet import protocol as wire
 from srampuf.chipnet.dumpdir import _NAMED, _named
 from srampuf.chipnet.dumpfile import decode_dump
-from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.layout import Geometry, Orientation
 from srampuf.patterns import parse_run_length
 from srampuf.simchip import (
     DesignEntry,
@@ -245,10 +245,9 @@ def designs(draw):
         geometry = Geometry(depth=mux * draw(st.integers(1, 256 // mux)),
                             width=2 * draw(st.integers(1, 32)), mux=mux,
                             speed_class=draw(st.sampled_from(["fast", "slow"])))
-        placed = PlacedMacro(geometry, draw(st.sampled_from(list(Orientation))),
-                             (100 * i, 0))
+        orientation = draw(st.sampled_from(list(Orientation)))
         pattern = f"0({draw(st.integers(1, 40))})1({draw(st.integers(1, 40))})"
-        entries.append(DesignEntry(f"D{i}", placed, pattern))
+        entries.append(DesignEntry(f"D{i}", geometry, orientation, pattern, (100 * i, 0)))
     return tuple(entries)
 
 

@@ -19,7 +19,7 @@ from srampuf.chipnet.dumpfile import parse_dump, words_to_bits
 from srampuf.chipnet.server import ChipServer
 from srampuf.cli import main
 from srampuf.floorplan import DEFAULT_DESIGNS
-from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.layout import Geometry, Orientation
 from srampuf.metrics import calibrate_noise, fhw, min_entropy_by_one_probability, wchd
 from srampuf.patterns import parse_run_length
 from srampuf.report import load_report, render_table
@@ -103,11 +103,8 @@ def test_criterion_3_period_detection():
 
 
 def test_criterion_4_reliability_band(big_run):
-    probe = DesignEntry(
-        "probe",
-        PlacedMacro(Geometry(depth=1024, width=32, mux=8), Orientation.R90),
-        "0(16)1(16)",
-    )
+    probe = DesignEntry("probe", Geometry(depth=1024, width=32, mux=8), Orientation.R90,
+                        "0(16)1(16)")
     assert calibrate_noise(0.065, ProcessParams(), probe, 90) == \
         ProcessParams().sigma_noise
 
@@ -136,11 +133,8 @@ def test_criterion_5_debiasing(big_run):
     # a duty-skewed imprint at beta = 0.25*sigma_mismatch must push raw FHW
     # visibly off 0.5 (the 50%-duty default designs balance it away instead)
     params = ProcessParams(beta=0.25)
-    probe = DesignEntry(
-        "skewprobe",
-        PlacedMacro(Geometry(depth=1024, width=32, mux=8), Orientation.R90),
-        "0(24)1(8)",
-    )
+    probe = DesignEntry("skewprobe", Geometry(depth=1024, width=32, mux=8), Orientation.R90,
+                        "0(24)1(8)")
     sigma = sqrt(params.sigma_mismatch ** 2 + params.sigma_noise ** 2)
     flip_gain = 0.5 * (1 + erf(params.beta / (sigma * sqrt(2)))) - 0.5
     duty = 8 / 32

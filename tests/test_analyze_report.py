@@ -43,7 +43,7 @@ from srampuf.chipnet.dumpfile import (
     parse_dump,
     words_to_bits,
 )
-from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.layout import Geometry, Orientation
 from srampuf.metrics import entropy_range, mhw, min_entropy_by_one_probability, wchd
 from srampuf.patterns import canonical_cycle, parse_run_length
 from srampuf.report import ReportParseError, load_report, render_table, save_report
@@ -61,7 +61,7 @@ EXPECTED_DIRECTIONS = {
 
 def entry(name, depth, width, mux, orient, pattern):
     g = Geometry(depth=depth, width=width, mux=mux)
-    return DesignEntry(name=name, placed=PlacedMacro(g, orient), pattern=pattern)
+    return DesignEntry(name, g, orient, pattern)
 
 
 def write_bank_dumps(dirpath, designs, seed, chips, cycles):

@@ -14,11 +14,11 @@ from srampuf.analyze import MissingBaseline
 from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet.collector import ChipBusy, ConnectionLost, HarnessClient
 from srampuf.chipnet.dumpfile import DumpFormatError, bits_to_words
-from srampuf.chipnet.protocol import ProtocolError
+from srampuf.chipnet.protocol import OP_POWER_ON, ProtocolError
 from srampuf.chipnet.server import ChipServer
 from srampuf.cli import main
 from srampuf.floorplan import DEFAULT_DESIGNS, ConfigError, format_config, load_config
-from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.layout import Geometry, Orientation
 from srampuf.report import ReportParseError, load_report
 from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
 
@@ -26,9 +26,8 @@ from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
 # imprint periods; keeps the pipeline tests fast.
 PARAMS = ProcessParams(beta=0.8)
 SMALL = (
-    DesignEntry("A", PlacedMacro(Geometry(64, 16, 4), Orientation.R0), "0(8)1(8)"),
-    DesignEntry("B", PlacedMacro(Geometry(128, 8, 8), Orientation.R270, (100, 0)),
-                "0(4)1(4)"),
+    DesignEntry("A", Geometry(64, 16, 4), Orientation.R0, "0(8)1(8)"),
+    DesignEntry("B", Geometry(128, 8, 8), Orientation.R270, "0(4)1(4)", (100, 0)),
 )
 
 
@@ -299,6 +298,25 @@ def test_every_pipeline_error_is_a_reported_failure(error):
     assert issubclass(error, cli._FAILURES)
 
 
+@pytest.mark.parametrize("endpoint, seed_lines", [(False, ["seed 0"]), (True, [])])
+def test_collect_without_a_seed_records_only_the_seed_it_ran(
+        tmp_path, small_cfg, capsys, endpoint, seed_lines):
+    dumps, report_path = tmp_path / "dumps", tmp_path / "report.json"
+    base = ["collect", "--config", str(small_cfg), "--chips", "2", "--cycles", "2",
+            "--out", str(dumps)]
+    if endpoint:
+        with ChipServer(SMALL, PARAMS, 7) as server:
+            host, port = server.endpoint
+            assert main([*base, "--endpoint", f"{host}:{port}"]) == 0
+    else:
+        assert main(base) == 0
+    manifest = (dumps / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in manifest if line.startswith("seed")] == seed_lines
+    assert main(["analyze", str(dumps), "--baseline", "A", "--out", str(report_path)]) == 0
+    capsys.readouterr()
+    assert load_report(report_path)["meta"]["seed"] == (None if endpoint else 0)
+
+
 def test_serve_runs_as_a_subprocess(tmp_path, small_cfg):
     # Leaving the with block closes the pipes, and ResourceWarning is an error.
     with subprocess.Popen(
@@ -316,7 +334,7 @@ def test_serve_runs_as_a_subprocess(tmp_path, small_cfg):
             client = HarnessClient((host, int(port)))
             try:
                 client.select_chip(0)
-                assert client.power_on() == 0
+                assert client._control(bytes([OP_POWER_ON])) == 0
                 words = client.read_design(0, depth=64, width=16)
             finally:
                 client.close()
@@ -353,13 +371,15 @@ def test_serve_stops_on_sigint_when_started_with_sigint_ignored(small_cfg):
 SIGINT_ON_A_SIDE_THREAD = """
 import signal, threading, time
 from srampuf.chipnet.server import serve
+from srampuf.floorplan import DEFAULT_DESIGNS
+from srampuf.simchip import ProcessParams
 
 def interrupt_this_thread():
     time.sleep(0.5)
     signal.pthread_kill(threading.get_ident(), signal.SIGINT)
 
 threading.Thread(target=interrupt_this_thread, daemon=True).start()
-serve(None, None, 5, ("127.0.0.1", 0))
+serve(DEFAULT_DESIGNS, ProcessParams(), 5, ("127.0.0.1", 0))
 print("stopped")
 """
 

@@ -34,7 +34,7 @@ from srampuf.chipnet.dumpfile import (
     words_to_bits,
     written_header,
 )
-from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.layout import Geometry, Orientation
 from srampuf.simchip import DesignEntry, ProcessParams, power_up, sample_device
 
 HEADER = DumpHeader(
@@ -365,7 +365,7 @@ def test_parse_round_trip():
 
 def test_round_trip_through_a_real_snapshot():
     g = Geometry(depth=64, width=32, mux=8)
-    entry = DesignEntry("D", PlacedMacro(g, Orientation.R90), "0(16)1(16)")
+    entry = DesignEntry("D", g, Orientation.R90, "0(16)1(16)")
     params = ProcessParams()
     snap = power_up(sample_device(entry, params, 5), params, 6)
     header = DumpHeader("D", g.depth, g.width, g.mux, "R90", "slow", 1, 2)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srampuf import analyze
-from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.layout import Geometry, Orientation
 from srampuf.metrics import (
     CalibrationFailed,
     EmptyInput,
@@ -39,8 +39,7 @@ ENTROPY_PAIRS = [
 
 def probe_entry(depth=1024, width=32, mux=8, name="probe"):
     g = Geometry(depth=depth, width=width, mux=mux)
-    return DesignEntry(name=name, placed=PlacedMacro(g, Orientation.R90),
-                       pattern="0(16)1(16)")
+    return DesignEntry(name, g, Orientation.R90, "0(16)1(16)")
 
 
 bitvecs = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)

@@ -25,14 +25,14 @@ from srampuf.chipnet.dumpfile import bits_to_words, parse_dump, words_to_bits
 from srampuf.chipnet.server import ChipServer, _Session
 from srampuf.cli import main
 from srampuf.floorplan import DEFAULT_DESIGNS, format_config, load_config
-from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.layout import Geometry, Orientation
 from srampuf.metrics import wchd
 from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
 
 
 def entry(name, depth, width, mux, orient, pattern, origin=(0, 0)):
     g = Geometry(depth=depth, width=width, mux=mux)
-    return DesignEntry(name=name, placed=PlacedMacro(g, orient, origin), pattern=pattern)
+    return DesignEntry(name, g, orient, pattern, origin)
 
 
 SMALL_DESIGNS = (
@@ -231,11 +231,11 @@ def test_reads_match_the_chip_bank(server):
     client = HarnessClient(server.endpoint)
     try:
         client.select_chip(7)
-        assert client.power_on() == 0
+        assert client._control(bytes([wire.OP_POWER_ON])) == 0
         words_a = client.read_design(0, 64, 16)
         words_b = client.read_design(1, 128, 8)
         again = client.read_design(0, 64, 16)
-        client.power_off()
+        client._control(bytes([wire.OP_POWER_OFF]))
     finally:
         client.close()
     assert np.array_equal(words_a, again)  # stable within one power cycle
@@ -404,7 +404,7 @@ def test_server_closing_mid_command_raises_connection_lost():
     client = HarnessClient(listener.getsockname())
     try:
         with pytest.raises(ConnectionLost):
-            client.power_on()
+            client._control(bytes([wire.OP_POWER_ON]))
     finally:
         client.close()
         listener.close()
@@ -417,12 +417,12 @@ def test_noiseless_bank_repeats_across_cycles():
         client = HarnessClient(s.endpoint)
         try:
             client.select_chip(0)
-            client.power_on()
+            client._control(bytes([wire.OP_POWER_ON]))
             first = client.read_design(0, 64, 16)
-            client.power_off()
-            client.power_on()
+            client._control(bytes([wire.OP_POWER_OFF]))
+            client._control(bytes([wire.OP_POWER_ON]))
             second = client.read_design(0, 64, 16)
-            client.power_off()
+            client._control(bytes([wire.OP_POWER_OFF]))
         finally:
             client.close()
     assert np.array_equal(first, second)
@@ -480,9 +480,22 @@ def test_collect_is_byte_deterministic(tmp_path):
 
 def test_collect_validates_counts(tmp_path):
     with pytest.raises(ValueError):
-        collect(("127.0.0.1", 1), 0, 1, tmp_path)
+        collect(("127.0.0.1", 1), 0, 1, tmp_path, SMALL_DESIGNS, ProcessParams())
     with pytest.raises(ValueError):
-        collect(("127.0.0.1", 1), 1, 0, tmp_path)
+        collect(("127.0.0.1", 1), 1, 0, tmp_path, SMALL_DESIGNS, ProcessParams())
+
+
+@pytest.mark.parametrize("design, message", [
+    (entry("Deep", 4096, 32, 8, Orientation.R0, "0(8)1(8)"),
+     "design 'Deep': depth 4096 exceeds the 2048 addresses"),
+    (entry("Wide", 64, 80, 4, Orientation.R0, "0(8)1(8)"),
+     "design 'Wide': width 80 exceeds the 64-bit data field"),
+])
+def test_collect_refuses_a_plan_the_wire_cannot_carry_before_writing(tmp_path, design, message):
+    out = tmp_path / "dumps"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        collect(("127.0.0.1", 1), 1, 1, out, (SMALL_DESIGNS[0], design), ProcessParams())
+    assert not out.exists()
 
 
 def test_reconstruction_flip_rate_matches_calibration(tmp_path):
@@ -594,7 +607,7 @@ def test_collect_survives_one_lost_connection(tmp_path, monkeypatch, point, powe
     # Each retry races the server dropping the dead session, which holds the chip.
     fired = inject(monkeypatch, point, power_up)
     with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
-        collect(s.endpoint, CHIPS, CYCLES, tmp_path, designs=SMALL_DESIGNS, seed=SEED)
+        collect(s.endpoint, CHIPS, CYCLES, tmp_path, SMALL_DESIGNS, ProcessParams(), SEED)
     assert fired == [power_up]
     chip, cycle = divmod(power_up, CYCLES)
     lost = cycle + FAULT_POINTS[point][2]
@@ -616,7 +629,7 @@ def test_collect_survives_a_lost_connection_as_it_selects_a_chip(tmp_path, monke
 
     monkeypatch.setattr(HarnessClient, "select_chip", faulty)
     with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
-        collect(s.endpoint, CHIPS, CYCLES, tmp_path, designs=SMALL_DESIGNS, seed=SEED)
+        collect(s.endpoint, CHIPS, CYCLES, tmp_path, SMALL_DESIGNS, ProcessParams(), SEED)
     assert check_collection(tmp_path, CHIPS, CYCLES, SEED) == {}
 
 
@@ -633,7 +646,7 @@ def test_a_chip_held_by_another_session_counts_as_a_failed_attempt(tmp_path, mon
 
         monkeypatch.setattr(collector, "time", SimpleNamespace(sleep=pause))
         try:
-            collect(s.endpoint, CHIPS, CYCLES, tmp_path, designs=SMALL_DESIGNS, seed=SEED)
+            collect(s.endpoint, CHIPS, CYCLES, tmp_path, SMALL_DESIGNS, ProcessParams(), SEED)
         finally:
             holder.close()
     assert pauses == [collector.RETRY_PAUSE_S] * collector.RETRIES
@@ -660,7 +673,7 @@ def test_collect_out_of_retries_exits_1_and_keeps_whole_cycles(tmp_path, monkeyp
 def test_a_second_collect_from_one_server_labels_its_own_cycles(tmp_path):
     with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
         for out in (tmp_path / "first", tmp_path / "second"):
-            collect(s.endpoint, 2, 2, out, designs=SMALL_DESIGNS, seed=SEED)
+            collect(s.endpoint, 2, 2, out, SMALL_DESIGNS, ProcessParams(), SEED)
     assert check_collection(tmp_path / "first", 2, 2, SEED) == {}
     assert check_collection(tmp_path / "second", 2, 2, SEED) == {
         (chip, cycle): cycle + 2 for chip in range(2) for cycle in range(2)}
@@ -676,7 +689,7 @@ def test_collect_at_the_wire_limits(tmp_path):
 
     def run():
         with ChipServer(designs, ProcessParams(), seed=SEED) as s:
-            outcome.append(collect(s.endpoint, 2, 3, tmp_path, designs=designs, seed=SEED))
+            outcome.append(collect(s.endpoint, 2, 3, tmp_path, designs, ProcessParams(), SEED))
 
     thread = threading.Thread(target=run, daemon=True)  # no pytest-timeout here
     thread.start()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import pattern_bit, power_up_reference
 from srampuf.floorplan import DEFAULT_DESIGNS
-from srampuf.layout import Geometry, Orientation, PlacedMacro
+from srampuf.layout import Geometry, Orientation
 from srampuf.metrics import calibrate_noise
 from srampuf.patterns import parse_run_length
 from srampuf.simchip import (
@@ -29,8 +29,7 @@ from srampuf.simchip import (
 def make_entry(name="D0", pattern="0(16)1(16)", orient=Orientation.R0,
                depth=1024, width=32, mux=8, origin=(0, 0)):
     g = Geometry(depth=depth, width=width, mux=mux)
-    return DesignEntry(name=name, placed=PlacedMacro(g, orient, origin),
-                       pattern=pattern)
+    return DesignEntry(name, g, orient, pattern, origin)
 
 
 def test_derive_seed_matches_sha256_prefix():
@@ -137,8 +136,7 @@ def test_chips_of_a_design_share_one_read_only_imprint():
 
 def test_noise_calibration_caches_one_imprint():
     """The imprint cache is keyed on what shapes the imprint, not on sigma_noise."""
-    probe = DesignEntry("probe", PlacedMacro(Geometry(1024, 32, 8), Orientation.R90),
-                        "0(16)1(16)")
+    probe = DesignEntry("probe", Geometry(1024, 32, 8), Orientation.R90, "0(16)1(16)")
     _imprint.cache_clear()
     calibrate_noise(0.065, ProcessParams(), probe, 90)
     assert _imprint.cache_info().currsize <= 1
@@ -246,8 +244,8 @@ def small_entries(draw):
     geometry = Geometry(depth=depth, width=2 * draw(st.integers(1, 32)), mux=1)
     runs = draw(st.lists(st.integers(1, 40), min_size=2, max_size=5))
     pattern = "".join(f"{k % 2}({n})" for k, n in enumerate(runs))
-    placed = PlacedMacro(geometry, draw(st.sampled_from(list(Orientation))))
-    return DesignEntry(draw(st.sampled_from(["D0", "P2_a"])), placed, pattern)
+    orientation = draw(st.sampled_from(list(Orientation)))
+    return DesignEntry(draw(st.sampled_from(["D0", "P2_a"])), geometry, orientation, pattern)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
