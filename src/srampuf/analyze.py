@@ -219,19 +219,15 @@ def _write_columns(path: Path, title: str, values: np.ndarray, index_digits: np.
     """``title`` then one "%d %.8f" line per element, in one write.
 
     ``index_digits`` holds at least ``len(values)`` rows of ``_index_digits``.
-    A value that rounds below ten in magnitude prints from its count of
-    1e-8 units, exactly as "%.8f" rounds it; when any value is NaN,
-    infinite or larger, the whole file takes "%" itself.
+    Each value prints from its count of 1e-8 units, exactly as "%.8f" rounds
+    it.  Profiles lie in [0, 1] and autocorrelations in [-1, 1]; a value that
+    is NaN, infinite or whose count rounds to 1e9 or more is refused before
+    any write.
     """
     scaled = np.abs(values) * 1e8
     units = np.rint(scaled)
     if not (units < 1e9).all():
-        cells = [None] * (2 * len(values))
-        cells[0::2] = range(len(values))
-        cells[1::2] = values.tolist()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(title + "%d %.8f\n" * len(values) % tuple(cells))
-        return
+        raise ValueError(f"{path}: a value is NaN, infinite or rounds to 10 or more")
     # rint sees the product rounded to a double, "%.8f" the exact value.
     # Rounding is monotonic and every half unit below 1e9 is a double, so
     # the two differ only where the product is exactly a half unit (the

@@ -9,9 +9,8 @@ from pathlib import Path
 from .analyze import PROFILE_MODES, analysis_to_report, analyze_dumps, write_plot_data
 from .chipnet.collector import collect
 from .chipnet.server import ChipServer, serve
-from .floorplan import DEFAULT_DESIGNS, format_config, load_config
+from .floorplan import format_config, load_config, parse_config
 from .report import load_report, render_table, save_report
-from .simchip import ProcessParams
 
 # Every error a command reports derives from one of these two: ConnectionLost
 # is a ConnectionError, so an OSError; the rest are ValueErrors.
@@ -26,9 +25,7 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def _load_plan(config: str | None):
-    if config:
-        return load_config(config)
-    return ProcessParams(), DEFAULT_DESIGNS
+    return load_config(config) if config else parse_config("")
 
 
 def cmd_gen(args) -> int:

@@ -19,6 +19,11 @@ COLUMNS = (
 
 _DIRECTION_MARK = {1: "+", -1: "-", 0: "0"}
 
+# Every key _row_cells reads, and the types its value may take.
+_ROW_TYPES = {"design": str, "pattern": (str, type(None)), "orientation": str, "direction": int,
+              **{f"{key}_{end}": (int, float) for key in ("wchd", "mhw", "entropy")
+                 for end in ("min", "max")}}
+
 
 class ReportParseError(ValueError):
     pass
@@ -37,13 +42,28 @@ def load_report(path) -> dict:
         raise ReportParseError(f"cannot read report: {e}") from e
     if not isinstance(report, dict) or "rows" not in report:
         raise ReportParseError("report has no rows")
+    rows, notes = report["rows"], report.get("notes", [])
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ReportParseError("report rows are not a list of objects")
+    if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
+        raise ReportParseError("report notes are not a list of strings")
     return report
 
 
 def check_row(row: dict) -> None:
-    """Each min/max pair must lie ordered within [0, 1], and the entropy
+    """Every key the table reads must be present with a value of its type,
+    each min/max pair must lie ordered within [0, 1], and the entropy
     columns must restate the MHW endpoints exactly."""
     design = row.get("design", "?")
+    for key, types in _ROW_TYPES.items():
+        if key not in row:
+            raise ReportParseError(f"{design}: key {key!r} is missing")
+        if not isinstance(row[key], types) or isinstance(row[key], bool):
+            raise ReportParseError(f"{design}: key {key!r} has a value of type "
+                                   f"{type(row[key]).__name__}")
+    if row["direction"] not in _DIRECTION_MARK:
+        raise ReportParseError(f"{design}: key 'direction' is {row['direction']}, "
+                               f"not 1, -1 or 0")
     for key in ("wchd", "mhw", "entropy"):
         lo, hi = row[f"{key}_min"], row[f"{key}_max"]
         if not 0.0 <= lo <= hi <= 1.0:
@@ -61,13 +81,13 @@ def check_row(row: dict) -> None:
 def _row_cells(row: dict) -> tuple[str, ...]:
     check_row(row)
     return (
-        str(row["design"]),
+        row["design"],
         f"{row['wchd_min'] * 100:.1f}-{row['wchd_max'] * 100:.1f}",
         f"{row['mhw_min']:.3f}-{row['mhw_max']:.3f}",
         f"{row['entropy_min']:.3f}-{row['entropy_max']:.3f}",
-        row["pattern"] if row.get("pattern") else "-",
-        str(row["orientation"]),
-        _DIRECTION_MARK[int(row["direction"])],
+        row["pattern"] or "-",
+        row["orientation"],
+        _DIRECTION_MARK[row["direction"]],
     )
 
 

@@ -150,9 +150,9 @@ def power_up(dev: DeviceArray, params: ProcessParams, cycle_seed: int) -> Snapsh
 class ChipBank:
     """Lazy bank of chips sharing one floorplan, keyed off a master seed.
 
-    Chip ``c`` on power cycle ``k`` is a pure function of (seed, c, k);
-    recently fabricated chips are cached because collection walks cycles
-    chip by chip.
+    Chip ``c`` on power cycle ``k`` is a pure function of (seed, c, k).
+    Callers walk a chip's cycles before the next chip, so one slot, replaced
+    whole, holds the last chip fabricated: each thread reads a whole pair.
     """
 
     def __init__(self, designs: Sequence[DesignEntry], params: ProcessParams, seed: int):
@@ -162,18 +162,18 @@ class ChipBank:
         self.designs = tuple(designs)
         self.params = params
         self.seed = seed
-        self._devices: dict[int, dict[str, DeviceArray]] = {}
+        self._slot: tuple[int | None, dict[str, DeviceArray]] = (None, {})
 
     def devices(self, chip: int) -> dict[str, DeviceArray]:
-        cached = self._devices.get(chip)
-        if cached is not None:
-            return cached
+        if chip < 0:
+            raise ValueError(f"chip must be non-negative, got {chip}")
+        held, devices = self._slot
+        if held == chip:
+            return devices
         chip_seed = derive_seed(self.seed, "chip", chip)
-        made = {d.name: sample_device(d, self.params, chip_seed) for d in self.designs}
-        if len(self._devices) >= 4:
-            self._devices.pop(next(iter(self._devices)))
-        self._devices[chip] = made
-        return made
+        devices = {d.name: sample_device(d, self.params, chip_seed) for d in self.designs}
+        self._slot = (chip, devices)
+        return devices
 
     def snapshots(self, chip: int, cycle: int) -> dict[str, Snapshot]:
         """Power-up snapshots of every design of one chip on one cycle."""

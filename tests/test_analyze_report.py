@@ -414,9 +414,8 @@ def test_plot_files_match_the_per_value_writer(small_run, tmp_path, mode):
 def test_plot_files_match_the_per_value_writer_on_edge_values(small_analysis, tmp_path):
     values = np.array(EDGE_VALUES * 3)
     np.random.default_rng(5).shuffle(values)
-    # NaN or infinity sends a whole file through "%": the profile leaves them out.
     finite = values[np.isfinite(values)]
-    for autocorr in (values, None):
+    for autocorr in (finite, None):
         result = replace(small_analysis.results[0], profile=finite, autocorr=autocorr)
         out = tmp_path / f"plots{autocorr is None}"
         written = write_plot_data(RunAnalysis(meta={}, notes=[], results=[result]), out)
@@ -424,24 +423,37 @@ def test_plot_files_match_the_per_value_writer_on_edge_values(small_analysis, tm
         assert {p.name: p.read_bytes() for p in written} == want
     text = (out / f"{result.name}_profile.dat").read_text()
     assert " -0.00000000\n" in text and " 0.00000000\n" in text and " 0.00195312\n" in text
+    # NaN or infinity is refused, naming the file, before the file is opened.
+    for profile, autocorr, refused in ((values, finite, "profile"),
+                                       (finite, values, "autocorr")):
+        result = replace(small_analysis.results[0], profile=profile, autocorr=autocorr)
+        out = tmp_path / f"refused_{refused}"
+        with pytest.raises(ValueError, match=f"{result.name}_{refused}.dat: a value is NaN"):
+            write_plot_data(RunAnalysis(meta={}, notes=[], results=[result]), out)
+        assert not (out / f"{result.name}_{refused}.dat").exists()
 
 
 # Values the digit path prints: signed zeros, subnormals, the last units
-# below ten, k/2**m grid points (exact binary ties at the eighth decimal
-# from m = 9 on), the doubles nearest a decimal half unit (whose product
-# with 1e8 often rounds to the half unit itself) and plain floats of both
-# signs.
+# below ten, k/2**m grid points below ten (exact binary ties at the eighth
+# decimal from m = 9 on; a point with m < 9 is also one with m = 9), the
+# doubles nearest a decimal half unit (whose product with 1e8 often rounds
+# to the half unit itself) and plain floats of both signs.  Their counts
+# of 1e-8 units round below 1e9: the largest tried is BELOW_TEN, and the
+# double nearest 9.999999995 is refused.
+BELOW_TEN = 10 - 5.1e-9
 PRINTED = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-12]),
-    st.floats(10 - 1e-8, 10, exclude_max=True),
-    st.floats(-10, -10 + 1e-8, exclude_min=True),
-    st.builds(lambda k, m: k / 2**m, st.integers(-5119, 5119), st.integers(0, 14)),
-    st.builds(lambda k: (2 * k + 1) / 200_000_000, st.integers(-10**9, 10**9 - 1)),
-    st.floats(-10, 10, exclude_min=True, exclude_max=True),
+    st.floats(10 - 1e-8, BELOW_TEN),
+    st.floats(-BELOW_TEN, -10 + 1e-8),
+    st.builds(lambda k, m: k / 2**m, st.integers(-5119, 5119), st.integers(9, 14)),
+    st.builds(lambda k: (2 * k + 1) / 200_000_000, st.integers(-10**9 + 1, 10**9 - 2)),
+    st.floats(-BELOW_TEN, BELOW_TEN),
 )
-# Any one of these sends the whole file through "%".
-LEFT_TO_PERCENT = st.one_of(
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10.0, -10.0]),
+# Any one of these is refused, and the file is not written.
+REFUSED = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10.0, -10.0,
+                     9.999999995, -9.999999995]),
+    st.floats(10 - 4.9e-9, 10), st.floats(-10, -10 + 4.9e-9),
     st.floats(10, 1e300), st.floats(-1e300, -10),
 )
 
@@ -452,15 +464,15 @@ LEFT_TO_PERCENT = st.one_of(
        spare_rows=st.sampled_from([0, 1, 2000]))
 def test_write_columns_matches_the_per_value_writer(tmp_path, n, data, spare_rows):
     values = data.draw(arrays(np.float64, n, elements=PRINTED, fill=PRINTED))
-    cases = [values]
+    _write_columns(tmp_path / "got", "# t\n", values, _index_digits(n + spare_rows))
+    write_columns(tmp_path / "want", "# t\n", values)
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
     if n:
         wide = values.copy()
-        wide[data.draw(st.integers(0, n - 1))] = data.draw(LEFT_TO_PERCENT)
-        cases.append(wide)
-    for v in cases:
-        _write_columns(tmp_path / "got", "# t\n", v, _index_digits(n + spare_rows))
-        write_columns(tmp_path / "want", "# t\n", v)
-        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+        wide[data.draw(st.integers(0, n - 1))] = data.draw(REFUSED)
+        with pytest.raises(ValueError, match="wide: a value is NaN"):
+            _write_columns(tmp_path / "wide", "# t\n", wide, _index_digits(n + spare_rows))
+        assert not (tmp_path / "wide").exists()
 
 
 # -- report rendering ----------------------------------------------------

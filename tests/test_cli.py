@@ -1,5 +1,6 @@
 """Command-line entry points, end to end."""
 
+import json
 import re
 import signal
 import subprocess
@@ -288,6 +289,27 @@ def test_analyze_names_the_plan_file_behind_an_error(small_dumps, capsys, name, 
 def test_report_fails_cleanly_on_a_missing_file(tmp_path, capsys):
     assert main(["report", str(tmp_path / "absent.json")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda report: report["rows"][0].pop("wchd_min"), "A: key 'wchd_min' is missing"),
+    (lambda report: report["rows"][0].update(direction=2),
+     "A: key 'direction' is 2, not 1, -1 or 0"),
+    (lambda report: report["rows"].insert(0, 1), "report rows are not a list of objects"),
+    (lambda report: report["rows"][0].update(wchd_min="0.1"),
+     "A: key 'wchd_min' has a value of type str"),
+    (lambda report: report.update(notes="abc"), "report notes are not a list of strings"),
+], ids=["missing key", "direction 2", "row not an object", "string number", "string notes"])
+def test_report_refuses_a_malformed_report_in_one_line(small_dumps, capsys, edit, message):
+    path = small_dumps / "r.json"
+    assert main(["analyze", str(small_dumps), "--baseline", "A", "--out", str(path)]) == 0
+    report = load_report(path)
+    edit(report)
+    path.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("error", [

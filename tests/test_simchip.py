@@ -1,6 +1,8 @@
 """Simulated chip behavior: imprint, noise, determinism, and the chip bank."""
 
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import pattern_bit, power_up_reference
+from srampuf import simchip
 from srampuf.floorplan import DEFAULT_DESIGNS
 from srampuf.layout import Geometry, Orientation
 from srampuf.metrics import calibrate_noise
@@ -216,10 +219,89 @@ def test_bank_snapshots_survive_cache_eviction():
     designs = [make_entry(depth=64, width=8, mux=4)]
     bank = ChipBank(designs, ProcessParams(), seed=77)
     first = bank.snapshots(0, 0)["D0"].bits
-    for chip in range(1, 7):  # push chip 0 out of the device cache
+    for chip in range(1, 7):  # chip 0 leaves the bank's one slot
         bank.snapshots(chip, 0)
     again = bank.snapshots(0, 0)["D0"].bits
     assert np.array_equal(first, again)
+
+
+SMALL_BANK = [make_entry("A", depth=64, width=8, mux=4),
+              make_entry("B", depth=32, width=16, mux=4, orient=Orientation.R270)]
+
+
+def test_bank_keeps_the_last_chip_only():
+    bank = ChipBank(SMALL_BANK, ProcessParams(), seed=3)
+    first = bank.devices(2)
+    assert bank.devices(2) is first
+    bank.devices(5)
+    again = bank.devices(2)
+    assert again is not first and again.keys() == first.keys()
+    for name, dev in first.items():
+        assert again[name] is not dev
+        assert np.array_equal(again[name].latent, dev.latent)
+
+
+@pytest.mark.parametrize("walk, made", [
+    ([(chip, cycle) for chip in range(3) for cycle in range(4)], 3),
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], 4),
+], ids=["in order", "alternating"])
+def test_bank_fabricates_once_per_change_of_chip(monkeypatch, walk, made):
+    calls = []
+
+    def counting(entry, params, chip_seed):
+        calls.append(entry.name)
+        return sample_device(entry, params, chip_seed)
+
+    monkeypatch.setattr(simchip, "sample_device", counting)
+    bank = ChipBank(SMALL_BANK, ProcessParams(), seed=3)
+    for chip, cycle in walk:
+        bank.snapshots(chip, cycle)
+    assert len(calls) == made * len(SMALL_BANK)
+
+
+def test_bank_devices_refuse_a_negative_chip():
+    bank = ChipBank(SMALL_BANK, ProcessParams(), seed=3)
+    with pytest.raises(ValueError, match="non-negative"):
+        bank.devices(-1)
+    bank.devices(0)
+    with pytest.raises(ValueError, match="non-negative"):
+        bank.devices(-1)
+
+
+def test_threads_sharing_a_bank_get_the_serial_snapshots():
+    """More threads than cores, each on its own chip, switching often: a slot
+    torn between two chips would hand a thread another chip's bits.  Tiny
+    designs keep the time in the bank's own code, where the switches land."""
+    designs = [make_entry(name, depth=4, width=8, mux=1, pattern="0(4)1(4)")
+               for name in "ABCDEF"]
+    chips, cycles = range(4), range(100)
+    serial = ChipBank(designs, ProcessParams(), seed=4)
+    want = {(c, k): serial.snapshots(c, k) for c in chips for k in cycles}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            shared = ChipBank(designs, ProcessParams(), seed=4)
+            got = {}
+            start = threading.Barrier(len(chips))
+
+            def walk(chip):
+                start.wait(timeout=10)
+                for k in cycles:
+                    got[chip, k] = shared.snapshots(chip, k)
+
+            threads = [threading.Thread(target=walk, args=(c,)) for c in chips]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert got.keys() == want.keys()
+            for key, snaps in want.items():
+                for name, snap in snaps.items():
+                    assert np.array_equal(got[key][name].bits, snap.bits), (key, name)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_banks_with_equal_seeds_agree():
