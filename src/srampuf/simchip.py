@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -151,8 +152,8 @@ class ChipBank:
     """Lazy bank of chips sharing one floorplan, keyed off a master seed.
 
     Chip ``c`` on power cycle ``k`` is a pure function of (seed, c, k).
-    Callers walk a chip's cycles before the next chip, so one slot, replaced
-    whole, holds the last chip fabricated: each thread reads a whole pair.
+    Each thread keeps its last chip's devices: callers walk a chip's cycles
+    in order, and each server session holds one chip in its own thread.
     """
 
     def __init__(self, designs: Sequence[DesignEntry], params: ProcessParams, seed: int):
@@ -162,18 +163,19 @@ class ChipBank:
         self.designs = tuple(designs)
         self.params = params
         self.seed = seed
-        self._slot: tuple[int | None, dict[str, DeviceArray]] = (None, {})
+        self._held = threading.local()  # .chip and .devices of this thread's last chip
 
     def devices(self, chip: int) -> dict[str, DeviceArray]:
         if chip < 0:
             raise ValueError(f"chip must be non-negative, got {chip}")
-        held, devices = self._slot
-        if held == chip:
-            return devices
+        held = self._held
+        if getattr(held, "chip", None) == chip:
+            return held.devices
+        held.chip = held.devices = None  # the old chip goes before the new one is made
         chip_seed = derive_seed(self.seed, "chip", chip)
-        devices = {d.name: sample_device(d, self.params, chip_seed) for d in self.designs}
-        self._slot = (chip, devices)
-        return devices
+        held.devices = {d.name: sample_device(d, self.params, chip_seed) for d in self.designs}
+        held.chip = chip
+        return held.devices
 
     def snapshots(self, chip: int, cycle: int) -> dict[str, Snapshot]:
         """Power-up snapshots of every design of one chip on one cycle."""

@@ -434,20 +434,19 @@ def test_plot_files_match_the_per_value_writer_on_edge_values(small_analysis, tm
 
 
 # Values the digit path prints: signed zeros, subnormals, the last units
-# below ten, k/2**m grid points below ten (exact binary ties at the eighth
-# decimal from m = 9 on; a point with m < 9 is also one with m = 9), the
-# doubles nearest a decimal half unit (whose product with 1e8 often rounds
-# to the half unit itself) and plain floats of both signs.  Their counts
-# of 1e-8 units round below 1e9: the largest tried is BELOW_TEN, and the
-# double nearest 9.999999995 is refused.
-BELOW_TEN = 10 - 5.1e-9
+# below ten, k/2**m grid points (exact binary ties at the eighth decimal
+# from m = 9 on), the doubles nearest a decimal half unit (whose product
+# with 1e8 often rounds to the half unit itself) and plain floats of both
+# signs.  A value whose count of 1e-8 units rounds to 1e9 or more is
+# refused instead: some grid points, the half units next to +-10 and the
+# upper half of the strips below ten.
 PRINTED = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-12]),
-    st.floats(10 - 1e-8, BELOW_TEN),
-    st.floats(-BELOW_TEN, -10 + 1e-8),
-    st.builds(lambda k, m: k / 2**m, st.integers(-5119, 5119), st.integers(9, 14)),
-    st.builds(lambda k: (2 * k + 1) / 200_000_000, st.integers(-10**9 + 1, 10**9 - 2)),
-    st.floats(-BELOW_TEN, BELOW_TEN),
+    st.floats(10 - 1e-8, 10, exclude_max=True),
+    st.floats(-10, -10 + 1e-8, exclude_min=True),
+    st.builds(lambda k, m: k / 2**m, st.integers(-5119, 5119), st.integers(0, 14)),
+    st.builds(lambda k: (2 * k + 1) / 200_000_000, st.integers(-10**9, 10**9 - 1)),
+    st.floats(-10, 10, exclude_min=True, exclude_max=True),
 )
 # Any one of these is refused, and the file is not written.
 REFUSED = st.one_of(
@@ -458,21 +457,32 @@ REFUSED = st.one_of(
 )
 
 
+def _assert_refused(path, values, index_digits):
+    with pytest.raises(ValueError, match=f"{path.name}: a value is NaN"):
+        _write_columns(path, "# t\n", values, index_digits)
+    assert not path.exists()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=st.sampled_from([0, 1, 9, 10, 11, 100, 1001]), data=st.data(),
        spare_rows=st.sampled_from([0, 1, 2000]))
 def test_write_columns_matches_the_per_value_writer(tmp_path, n, data, spare_rows):
     values = data.draw(arrays(np.float64, n, elements=PRINTED, fill=PRINTED))
-    _write_columns(tmp_path / "got", "# t\n", values, _index_digits(n + spare_rows))
-    write_columns(tmp_path / "want", "# t\n", values)
+    digits = _index_digits(n + spare_rows)
+    # Every value below the cutoff prints as "%.8f" prints it; one above it
+    # refuses the whole array.
+    refused = np.rint(np.abs(values) * 1e8) >= 1e9
+    printed = values[~refused]
+    _write_columns(tmp_path / "got", "# t\n", printed, digits)
+    write_columns(tmp_path / "want", "# t\n", printed)
     assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+    if refused.any():
+        _assert_refused(tmp_path / "near", values, digits)
     if n:
         wide = values.copy()
         wide[data.draw(st.integers(0, n - 1))] = data.draw(REFUSED)
-        with pytest.raises(ValueError, match="wide: a value is NaN"):
-            _write_columns(tmp_path / "wide", "# t\n", wide, _index_digits(n + spare_rows))
-        assert not (tmp_path / "wide").exists()
+        _assert_refused(tmp_path / "wide", wide, digits)
 
 
 # -- report rendering ----------------------------------------------------

@@ -27,7 +27,8 @@ from srampuf.cli import main
 from srampuf.floorplan import DEFAULT_DESIGNS, format_config, load_config
 from srampuf.layout import Geometry, Orientation
 from srampuf.metrics import wchd
-from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
+from srampuf import simchip
+from srampuf.simchip import ChipBank, DesignEntry, ProcessParams, sample_device
 
 
 def entry(name, depth, width, mux, orient, pattern, origin=(0, 0)):
@@ -83,6 +84,28 @@ def test_power_on_reports_per_chip_cycle_indices(server):
         assert command(sock, bytes([wire.OP_POWER_ON])).data == 1
     finally:
         sock.close()
+
+
+def test_sessions_taking_turns_on_two_chips_fabricate_each_chip_once(monkeypatch):
+    calls = []
+
+    def counting(entry, params, chip_seed):
+        calls.append(entry.name)
+        return sample_device(entry, params, chip_seed)
+
+    monkeypatch.setattr(simchip, "sample_device", counting)
+    with ChipServer(SMALL_DESIGNS, ProcessParams(), seed=SEED) as s:
+        socks = [raw_session(s) for _ in range(2)]
+        try:
+            for chip, sock in enumerate(socks):
+                command(sock, bytes([wire.OP_SELECT_CHIP, chip]))
+            for cycle in range(3):
+                for sock in socks:
+                    assert command(sock, bytes([wire.OP_POWER_ON])).data == cycle
+        finally:
+            for sock in socks:
+                sock.close()
+    assert len(calls) == 2 * len(SMALL_DESIGNS)
 
 
 def test_error_frames_before_select_and_power(server):

@@ -219,7 +219,7 @@ def test_bank_snapshots_survive_cache_eviction():
     designs = [make_entry(depth=64, width=8, mux=4)]
     bank = ChipBank(designs, ProcessParams(), seed=77)
     first = bank.snapshots(0, 0)["D0"].bits
-    for chip in range(1, 7):  # chip 0 leaves the bank's one slot
+    for chip in range(1, 7):  # chip 0 leaves this thread's one slot
         bank.snapshots(chip, 0)
     again = bank.snapshots(0, 0)["D0"].bits
     assert np.array_equal(first, again)
@@ -268,15 +268,23 @@ def test_bank_devices_refuse_a_negative_chip():
         bank.devices(-1)
 
 
-def test_threads_sharing_a_bank_get_the_serial_snapshots():
-    """More threads than cores, each on its own chip, switching often: a slot
-    torn between two chips would hand a thread another chip's bits.  Tiny
-    designs keep the time in the bank's own code, where the switches land."""
+def test_threads_sharing_a_bank_get_the_serial_snapshots(monkeypatch):
+    """More threads than cores, each on its own chip, switching often: a
+    shared slot would hand a thread another chip's bits or fabricate a chip
+    again whenever its thread's turn comes back.  Tiny designs keep the time
+    in the bank's own code, where the switches land."""
     designs = [make_entry(name, depth=4, width=8, mux=1, pattern="0(4)1(4)")
                for name in "ABCDEF"]
     chips, cycles = range(4), range(100)
     serial = ChipBank(designs, ProcessParams(), seed=4)
     want = {(c, k): serial.snapshots(c, k) for c in chips for k in cycles}
+    calls = []
+
+    def counting(entry, params, chip_seed):
+        calls.append(entry.name)
+        return sample_device(entry, params, chip_seed)
+
+    monkeypatch.setattr(simchip, "sample_device", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -302,6 +310,7 @@ def test_threads_sharing_a_bank_get_the_serial_snapshots():
                     assert np.array_equal(got[key][name].bits, snap.bits), (key, name)
     finally:
         sys.setswitchinterval(interval)
+    assert len(calls) == 10 * len(chips) * len(designs)  # each chip once per round
 
 
 def test_banks_with_equal_seeds_agree():
