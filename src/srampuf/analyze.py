@@ -94,7 +94,7 @@ def analyze_dumps(
     results: list[DesignResult] = []
     total = 0
     for name in sorted(index):
-        header, packed = load_bits(name, index[name], chips, cycles)
+        header, packed = load_bits(dump_dir, name, index[name], chips, cycles)
         width, readings = header.width, len(chips) * len(cycles)
         total += header.depth * width
         # Cycles are sorted and include 0, so index 0 is the enrollment.

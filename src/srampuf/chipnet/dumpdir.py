@@ -4,12 +4,12 @@ Dumps carry the collector's own cycle count, and a power-up's dumps are
 written together.  ``manifest.txt`` adds a ``server_cycle <chip> <cycle>
 <index>`` line for each power-up the server counted under another index.
 
-The reader finds dumps by the names ``dump_filename`` gives and refuses any
-other ``.pufdump`` name.  It checks each dump's header against the file name
-and the design's first dump.  A design's dumps are read once, each body
-straight into its slot of one buffer, and decode as one stack, or, if any
-is not the writer's bytes, are read again and decode one by one.  They
-stay packed: each word's big-endian bytes as ``decode_dump`` gives them.
+The reader lists the directory once, finds dumps by the names ``dump_filename``
+gives and refuses any other ``.pufdump`` name.  It checks each dump's header
+against its name and the design's first dump.  A design's dumps are read once,
+by name in one open directory, each body into its slot of one buffer, and
+decode as one stack, or, if any is not the writer's bytes, are read again and
+decode one by one.  They stay packed: word bytes as ``decode_dump`` gives them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,8 @@ from .dumpfile import (DumpFormatError, DumpHeader, chip_line, decode_bodies, de
 
 MANIFEST_NAME = "manifest.txt"
 FLOORPLAN_NAME = "floorplan.cfg"
-_NAME_RE = re.compile(r"(?P<design>.+)_chip(?P<chip>\d+)_cycle(?P<cycle>\d+)\.pufdump")
+# The names dump_filename writes: chip and cycle padded to 3 and 2 digits, no more.
+_DUMP_RE = re.compile(r"(.+?)_chip(\d{3}|[1-9]\d{3,})_cycle(\d{2}|[1-9]\d{2,})\.pufdump", re.A)
 _NAMED = ("design", "chip", "cycle")
 
 
@@ -78,17 +79,21 @@ def _named(path: Path, error=DumpFormatError):
         raise error(f"{path.name}: {e}") from e
 
 
-def scan_dump_dir(dump_dir) -> dict[str, dict[tuple[int, int], Path]]:
-    """{design: {(chip, cycle): path}} of the names dump_filename gives; opens no dump."""
+def scan_dump_dir(dump_dir) -> dict[str, dict[tuple[int, int], str]]:
+    """{design: {(chip, cycle): file name}} of the names dump_filename gives; opens no dump."""
     root = Path(dump_dir)
-    index: dict[str, dict[tuple[int, int], Path]] = {}
-    for path in sorted(root.glob("*.pufdump"), key=lambda p: p.name):
-        m = _NAME_RE.fullmatch(path.name)
-        key = m and (m["design"], int(m["chip"]), int(m["cycle"]))
-        if not key or dump_filename(*key) != path.name:
-            raise InsufficientData(f"{path.name}: not a dump name; the collector writes "
+    try:
+        names = [name for name in os.listdir(root) if name.endswith(".pufdump")]
+    except (FileNotFoundError, NotADirectoryError) as e:
+        reason = "not a directory" if isinstance(e, NotADirectoryError) else "no such directory"
+        raise InsufficientData(f"{root}: {reason}") from e
+    index: dict[str, dict[tuple[int, int], str]] = {}
+    for name in names:
+        if not (m := _DUMP_RE.fullmatch(name)):
+            bad = min(other for other in names if not _DUMP_RE.fullmatch(other))
+            raise InsufficientData(f"{bad}: not a dump name; the collector writes "
                                    f"names like {dump_filename('P1_a', 7, 3)}")
-        index.setdefault(key[0], {})[key[1:]] = path
+        index.setdefault(m[1], {})[int(m[2]), int(m[3])] = name
     if not index:
         raise InsufficientData(f"no .pufdump files under {root}")
     return index
@@ -112,8 +117,8 @@ def grid(index: dict[str, dict]) -> tuple[list[int], list[int]]:
     return chips, cycles
 
 
-def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.ndarray]:
-    """First header and the packed readings.
+def load_bits(dump_dir, design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.ndarray]:
+    """First header and the packed readings of the dumps ``files`` names in ``dump_dir``.
 
     A reading is its words' big-endian bytes in address order, as ``decode_dump``
     gives them, bits past the width zero: (chips, cycles, depth * ceil(width/8))
@@ -123,15 +128,13 @@ def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.n
     ``decode_dump`` decodes it or the first error is raised.
     """
     keys = list(itertools.product(chips, cycles))
-    try:
-        if (stack := _read_bodies(design, files, keys)) is not None:
+    with suppress(OSError):  # the file-by-file pass raises it in its turn
+        if (stack := _read_bodies(dump_dir, design, files, keys)) is not None:
             if (octets := decode_bodies(*stack, len(keys))) is not None:
                 return stack[0], octets.reshape(len(chips), len(cycles), -1)
-    except OSError:  # the file-by-file pass raises it in its turn
-        pass
     first = packed = None
     for n, (chip, cycle) in enumerate(keys):
-        with _named(path := files[(chip, cycle)]):
+        with _named(path := Path(dump_dir, files[(chip, cycle)])):
             header, octets = decode_dump(path.read_bytes())
         got = vars(header)  # field name -> value, in field order
         expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
@@ -146,35 +149,41 @@ def load_bits(design: str, files: dict, chips, cycles) -> tuple[DumpHeader, np.n
     return first, packed.reshape(len(chips), len(cycles), -1)
 
 
-def _readv(path: Path, buffers) -> int:
-    """Bytes one ``readv`` of ``path`` puts into ``buffers``."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        return os.readv(fd, buffers)
-    finally:
-        os.close(fd)
-
-
-def _read_bodies(design: str, files: dict, keys: list) -> tuple[DumpHeader, bytearray] | None:
-    """First header and the dumps' bodies laid end to end, one read per dump, if
-    every header is the writer's for its name and every body the first's length."""
+def _read_bodies(dump_dir, design: str, files: dict,
+                 keys: list) -> tuple[DumpHeader, bytearray] | None:
+    """First header and the dumps' bodies end to end, one read per dump by name in one open
+    directory, if every header is the writer's for its name and every body the first's length."""
     spare = bytearray(1)  # a read that reaches it ran past the expected end
-    raw = bytearray(files[keys[0]].stat().st_size)
-    first = written_header(raw) if _readv(files[keys[0]], [raw, spare]) == len(raw) else None
-    if first is None or (first.design, first.chip, first.cycle) != (design, *keys[0]):
-        return None
-    text = header_text(first)
-    prefix, size = text.removesuffix(chip_line(*keys[0])).encode(), len(raw) - len(text)
-    joined = bytearray(size * len(keys))
-    joined[:size] = memoryview(raw)[len(text):]
-    with memoryview(joined) as view:
-        for n, key in enumerate(keys[1:], 1):
-            head = bytearray(len(expected := prefix + chip_line(*key).encode()))
+
+    def fills(key, *buffers) -> bool:
+        """Whether one ``readv`` of ``key``'s dump fills ``buffers`` and not ``spare``."""
+        fd = os.open(files[key], os.O_RDONLY, dir_fd=directory)
+        try:
+            return os.readv(fd, [*buffers, spare]) == sum(map(len, buffers))
+        finally:
+            os.close(fd)
+
+    directory = os.open(dump_dir, os.O_RDONLY)
+    try:
+        raw = bytearray(os.stat(files[keys[0]], dir_fd=directory).st_size)
+        first = written_header(raw) if fills(keys[0], raw) else None
+        if first is None or (first.design, first.chip, first.cycle) != (design, *keys[0]):
+            return None
+        text = header_text(first)
+        prefix, size = text.removesuffix(chip_line(*keys[0])), len(raw) - len(text)
+        # The other dumps' headers as the writer writes them, end to end: one slot each.
+        expected = [(prefix + chip_line(*key)).encode() for key in keys[1:]]
+        ends = list(itertools.accumulate(map(len, expected), initial=0))
+        heads, joined = bytearray(ends[-1]), bytearray(size * len(keys))
+        joined[:size] = memoryview(raw)[len(text):]
+        with memoryview(heads) as head, memoryview(joined) as body:
             # A body of another length could start the next dump's lines.
-            if (_readv(files[key], [head, view[n * size:(n + 1) * size], spare])
-                    != len(head) + size or head != expected):
+            if not all(fills(key, head[ends[n - 1]:ends[n]], body[n * size:(n + 1) * size])
+                       for n, key in enumerate(keys[1:], 1)):
                 return None
-    return first, joined
+        return (first, joined) if heads == b"".join(expected) else None
+    finally:
+        os.close(directory)
 
 
 def read_plan(dump_dir) -> tuple[ProcessParams | None, int | None]:

@@ -181,11 +181,12 @@ def decode_bodies(header: DumpHeader, joined: bytearray, count: int) -> np.ndarr
     blank = _blank_body(header.depth, digits)
     if len(joined) != count * len(blank):
         return None
-    body = np.frombuffer(joined, dtype=np.uint8).reshape(-1, digits + 7)
-    # Left-pad each word to whole bytes and read its digits as big-endian bytes.
-    padded = np.full((body.shape[0], 2 * size), ord("0"), dtype=np.uint8)
-    padded[:, 2 * size - digits:] = body[:, 6:-1]
-    body[:, 6:-1] = ord("0")  # what is left must be the blank body
+    # Each line's digits, one fixed-width field, copy left-padded to whole bytes, then
+    # take one body's zeros (faster than a broadcast): what is left must be the blank body.
+    field = np.ndarray(count * header.depth, f"S{digits}", joined, 6, (digits + 7,))
+    padded = np.full((field.size, 2 * size), ord("0"), dtype=np.uint8)
+    np.ndarray(field.size, f"S{digits}", padded, 2 * size - digits, (2 * size,))[...] = field
+    field.reshape(count, -1)[...] = np.full(header.depth, b"0" * digits)
     if not all(joined.startswith(blank, start) for start in range(0, len(joined), len(blank))):
         return None
     # unhexlify also takes A-F; of the hex digits only those lack bit 0x20.

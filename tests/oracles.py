@@ -6,7 +6,9 @@ string assembly instead of integer shifting.  Slow but obviously correct.
 The plot-file writer that formats every value with its own ``%.8f`` gives
 the reference bytes for plot files, and a design's dumps read and decoded
 to bits one file at a time give the reference bits and errors of
-``load_bits``, whose packed readings the tests unpack to compare.
+``load_bits``, whose packed readings the tests unpack to compare.  A
+glob, a lenient name regex and a round trip through ``dump_filename`` give
+the reference index and refusals of ``scan_dump_dir``.
 The simulator as it stood with two arrays per device, mismatch and
 imprint, summed again at every power-up, gives the reference latent and
 bits of ``simchip``.  The scripted session of criterion 6 lives here too:
@@ -20,13 +22,14 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet import protocol as wire
-from srampuf.chipnet.dumpdir import _NAMED, _named
+from srampuf.chipnet.dumpdir import _NAMED, _named, dump_filename
 from srampuf.chipnet.dumpfile import decode_dump
 from srampuf.layout import Geometry, Orientation
 from srampuf.patterns import parse_run_length
@@ -148,12 +151,31 @@ def decode_bits(raw):
     return header, unpack_octets(octets, header.width)
 
 
-def load_bits_per_file(design, files, chips, cycles):
+_NAME_RE = re.compile(r"(?P<design>.+)_chip(?P<chip>\d+)_cycle(?P<cycle>\d+)\.pufdump")
+
+
+def scan_dump_dir_by_glob(dump_dir):
+    """``dumpdir.scan_dump_dir``: a glob, then per path a regex and a round trip of its name."""
+    root = Path(dump_dir)
+    index = {}
+    for path in sorted(root.glob("*.pufdump"), key=lambda p: p.name):
+        m = _NAME_RE.fullmatch(path.name)
+        key = m and (m["design"], int(m["chip"]), int(m["cycle"]))
+        if not key or dump_filename(*key) != path.name:
+            raise InsufficientData(f"{path.name}: not a dump name; the collector writes "
+                                   f"names like {dump_filename('P1_a', 7, 3)}")
+        index.setdefault(key[0], {})[key[1:]] = path.name
+    if not index:
+        raise InsufficientData(f"no .pufdump files under {root}")
+    return index
+
+
+def load_bits_per_file(dump_dir, design, files, chips, cycles):
     """``dumpdir.load_bits``, unpacked, as one read and one ``decode_bits`` per file, in grid order."""
     first = bits = None
     for i, chip in enumerate(chips):
         for j, cycle in enumerate(cycles):
-            path = files[(chip, cycle)]
+            path = Path(dump_dir, files[(chip, cycle)])
             with _named(path):
                 header, matrix = decode_bits(path.read_bytes())
             got = vars(header)  # field name -> value, in field order

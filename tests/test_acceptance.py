@@ -109,13 +109,14 @@ def test_criterion_4_reliability_band(big_run):
         ProcessParams().sigma_noise
 
     lo, hi = WCHD_BAND
-    for name, files in scan_dump_dir(big_run["dumps"]).items():
+    dumps = big_run["dumps"]
+    for name, files in scan_dump_dir(dumps).items():
         in_band = total = 0
         for chip in range(CHIPS):
-            header, words = parse_dump(files[(chip, 0)].read_text())
+            header, words = parse_dump((dumps / files[(chip, 0)]).read_text())
             enroll = words_to_bits(words, header.width).reshape(-1)
             for cycle in range(1, CYCLES):
-                header, words = parse_dump(files[(chip, cycle)].read_text())
+                header, words = parse_dump((dumps / files[(chip, cycle)]).read_text())
                 d = wchd(enroll, words_to_bits(words, header.width).reshape(-1))
                 in_band += lo <= d <= hi
                 total += 1

@@ -3,19 +3,21 @@
 import builtins
 import collections
 import io
+import itertools
 import json
 import os
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import majority_template, parse_rendered_table, write_columns
+from oracles import majority_template, parse_rendered_table, scan_dump_dir_by_glob, write_columns
 from srampuf import analyze
 from srampuf.analyze import (
     PROFILE_MODES,
@@ -35,7 +37,8 @@ from srampuf.biasdetect import (
     smooth_template,
     strongest_vector,
 )
-from srampuf.chipnet.dumpdir import dump_filename, load_bits, write_cycle
+from srampuf.chipnet import dumpdir
+from srampuf.chipnet.dumpdir import dump_filename, grid, load_bits, write_cycle
 from srampuf.chipnet.dumpfile import (
     DumpHeader,
     bits_to_words,
@@ -175,7 +178,8 @@ def test_analysis_equals_the_per_reading_computation(small_run, profile_mode):
     index = scan_dump_dir(small_run["dumps"])
     chips, cycles = range(small_run["chips"]), range(small_run["cycles"])
     for r in run.results:
-        readings = [[read_bits(index[r.name][(chip, cycle)]) for cycle in cycles]
+        readings = [[read_bits(small_run["dumps"] / index[r.name][(chip, cycle)])
+                     for cycle in cycles]
                     for chip in chips]
         per_chip_wchd = [float(np.mean([wchd(chip[0], recon) for recon in chip[1:]]))
                          for chip in readings]
@@ -214,6 +218,103 @@ def test_scan_requires_dumps(tmp_path):
         scan_dump_dir(tmp_path)
 
 
+def _scan_outcome(scan, directory):
+    """A scan's index, or its error's type and message."""
+    try:
+        return scan(directory)
+    except InsufficientData as e:
+        return type(e), str(e)
+
+
+_DESIGNS = ["A", "P1_a", "X_chip12_cycle3", "Y_chip007_cycle00.pufdump_B"]
+# Names that are not what dump_filename writes, or not dumps at all.
+_ODD_NAMES = [
+    "A_chip0007_cycle00.pufdump", "A_chip007_cycle000.pufdump", "A_chip7_cycle00.pufdump",
+    "A_chip000_cycle0.pufdump", "A_chip01000_cycle00.pufdump", "A_chip000_cycle010.pufdump",
+    "A_chip\u0660\u0660\u0667_cycle00.pufdump", "A_chip-01_cycle00.pufdump",
+    "_chip000_cycle00.pufdump", "A_chip000_cycle00.PUFDUMP", "A_chip000_cycle00.pufdump.bak",
+    "A\nB_chip000_cycle00.pufdump", "junk\nA_chip001_cycle00.pufdump",
+    "A_chip000_cycle00.pufdump\nA_chip001_cycle00.pufdump", "A\r_chip000_cycle00.pufdump",
+    "notes.pufdump", ".pufdump", "manifest.txt", "floorplan.cfg", "readme",
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(canonical=st.lists(st.tuples(st.sampled_from(_DESIGNS),
+                                    st.integers(0, 1200) | st.sampled_from([999, 1000, 10**5]),
+                                    st.integers(0, 120) | st.sampled_from([99, 100])),
+                          max_size=8),
+       odd=st.lists(st.sampled_from(_ODD_NAMES), max_size=2),
+       as_directory=st.booleans())
+def test_scan_matches_the_glob_oracle(canonical, odd, as_directory):
+    names = {dump_filename(*key) for key in canonical} | set(odd)
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, name in enumerate(sorted(names)):
+            # The first name is sometimes a directory, not a file.
+            path = Path(tmp, name)
+            path.mkdir() if as_directory and n == 0 else path.write_bytes(b"")
+        got = _scan_outcome(scan_dump_dir, tmp)
+        assert got == _scan_outcome(scan_dump_dir_by_glob, tmp)
+    event("refused" if isinstance(got, tuple) else "indexed")
+
+
+def test_analyze_reads_through_a_relative_path_and_a_symlink(tmp_path, monkeypatch):
+    dumps = tmp_path / "dumps"
+    write_bank_dumps(dumps, SMALL, 1, chips=[0, 1], cycles=[0, 1, 2])
+    (tmp_path / "link").symlink_to(dumps, target_is_directory=True)
+
+    def report_bytes(path, out):
+        save_report(analysis_to_report(analyze_dumps(path, baseline="A")), out)
+        return out.read_bytes()
+
+    # Each design decodes as one stack, never file by file.
+    monkeypatch.setattr(dumpdir, "decode_dump", None)
+    want = report_bytes(dumps, tmp_path / "absolute.json")
+    monkeypatch.chdir(tmp_path)
+    assert report_bytes("dumps", tmp_path / "relative.json") == want
+    assert report_bytes(Path("link"), tmp_path / "symlink.json") == want
+    assert report_bytes(tmp_path / "link", tmp_path / "absolute_symlink.json") == want
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case", ["clean", "per-file", "readv fails", "directory"])
+def test_load_bits_leaves_no_descriptor_open(tmp_path, monkeypatch, case):
+    write_bank_dumps(tmp_path, SMALL[:1], 1, chips=[0, 1], cycles=[0, 1, 2])
+    files = scan_dump_dir(tmp_path)["A"]
+    if case == "per-file":  # a header the writer would not write sends it file by file
+        path = tmp_path / files[(1, 0)]
+        path.write_bytes(path.read_bytes().replace(b"depth=", b"depth=0", 1))
+    elif case == "readv fails":  # an OSError in the third read of the one-buffer pass
+        reads = itertools.count()
+
+        def failing_readv(fd, buffers, readv=os.readv):
+            if next(reads) == 2:
+                raise OSError(5, "Input/output error")
+            return readv(fd, buffers)
+
+        monkeypatch.setattr(os, "readv", failing_readv)
+    elif case == "directory":  # an OSError in both passes
+        path = tmp_path / files[(0, 2)]
+        path.unlink()
+        path.mkdir()
+    decoded = []  # dumps the file-by-file pass decoded
+    monkeypatch.setattr(dumpdir, "decode_dump",
+                        lambda raw, decode=dumpdir.decode_dump: decoded.append(1) or decode(raw))
+    before = _open_descriptors()
+    if case == "directory":
+        with pytest.raises(IsADirectoryError):
+            load_bits(tmp_path, "A", files, *grid({"A": files}))
+    else:
+        header, packed = load_bits(tmp_path, "A", files, *grid({"A": files}))
+        assert packed.shape == (2, 3, 64 * 2)
+    assert _open_descriptors() == before
+    assert bool(decoded) == (case != "clean")
+
+
 def test_analyze_rejects_inconsistent_headers(tmp_path):
     d = entry("A", 64, 8, 4, Orientation.R0, "0(4)1(4)")
     write_bank_dumps(tmp_path, (d,), 1, chips=[0, 1], cycles=[0, 1])
@@ -236,7 +337,8 @@ def test_analyze_reads_each_dump_once_and_scan_opens_none(tmp_path, monkeypatch)
         for module, name in ((builtins, "open"), (io, "open"), (os, "open")):
             m.setattr(module, name, no_open)
         index = scan_dump_dir(tmp_path)
-    assert sorted(p for files in index.values() for p in files.values()) == dumps
+    assert sorted(name for files in index.values() for name in files.values()) \
+        == [path.name for path in dumps]
 
     # Every way a file is opened, the file-by-file pass's read_bytes included.
     opens = collections.Counter()
@@ -279,7 +381,8 @@ def _packed_design_dumps(tmp_path):
 def test_load_bits_streams_the_dumps_into_one_buffer(tmp_path):
     packed = _packed_design_dumps(tmp_path)
     files = scan_dump_dir(tmp_path)["A"]
-    (_, octets), peak = _traced_peak(lambda: load_bits("A", files, range(16), range(16)))
+    (_, octets), peak = _traced_peak(lambda: load_bits(tmp_path, "A", files, range(16),
+                                                       range(16)))
     assert octets.nbytes == packed
     # One buffer of bodies (a 64-bit word's dump line has 23 bytes for its 8),
     # the digits padded to whole bytes (16) and the packed readings: about 6x.

@@ -195,6 +195,21 @@ def test_analyze_fails_cleanly_on_an_empty_directory(tmp_path, capsys):
     assert "no .pufdump files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, made, reason", [
+    ("missing", False, "no such directory"),
+    ("manifest.txt", True, "not a directory"),
+])
+def test_analyze_refuses_a_dump_path_that_is_not_a_directory(tmp_path, capsys, name, made,
+                                                             reason):
+    path = tmp_path / name
+    if made:
+        path.write_text("# collection manifest\n")
+    rc = main(["analyze", str(path), "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.fixture()
 def small_dumps(tmp_path, small_cfg, capsys):
     dumps = tmp_path / "dumps"

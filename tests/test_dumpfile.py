@@ -274,17 +274,17 @@ LOAD_MUTATIONS = ["none", "body byte", "uppercase", "past width", "crlf", "depth
                   "chip line", "other depth", "truncate", "directory"]
 
 
-def _load_unpacked(design, files, chips, cycles):
+def _load_unpacked(directory, design, files, chips, cycles):
     """``load_bits`` with its packed readings unpacked to (chips, cycles, cells) bits."""
-    header, packed = load_bits(design, files, chips, cycles)
+    header, packed = load_bits(directory, design, files, chips, cycles)
     bits = unpack_octets(packed.reshape(-1, word_byte_width(header.width)), header.width)
     return header, bits.reshape(len(chips), len(cycles), -1)
 
 
-def _load_outcome(load, files, chips, cycles):
+def _load_outcome(load, directory, files, chips, cycles):
     """What a loader makes of a directory: header and bits, or its error's type and message."""
     try:
-        header, bits = load("P4_b", files, chips, cycles)
+        header, bits = load(directory, "P4_b", files, chips, cycles)
     except (DumpFormatError, InsufficientData, OSError) as e:
         return type(e), str(e)
     return header, bits.dtype, bits.shape, bits.tobytes()
@@ -317,12 +317,13 @@ def test_load_bits_matches_the_per_file_oracle_on_a_mutated_dump(mutation, data)
     else:
         raws[keys[k]] = _mutate_dump(data, mutation, raws[keys[k]], headers[keys[k]])
     with tempfile.TemporaryDirectory() as tmp:
-        files = {key: Path(tmp, dump_filename("P4_b", *key)) for key in keys}
+        files = {key: dump_filename("P4_b", *key) for key in keys}
         for key, raw in raws.items():
-            files[key].mkdir() if raw is None else files[key].write_bytes(raw)
+            path = Path(tmp, files[key])
+            path.mkdir() if raw is None else path.write_bytes(raw)
         with mock.patch.object(dumpdir, "decode_dump", wraps=decode_dump) as per_file:
-            got = _load_outcome(_load_unpacked, files, chips, cycles)
-        assert got == _load_outcome(load_bits_per_file, files, chips, cycles)
+            got = _load_outcome(_load_unpacked, tmp, files, chips, cycles)
+        assert got == _load_outcome(load_bits_per_file, tmp, files, chips, cycles)
     if mutation == "none":  # written dumps decode as one stack
         assert per_file.call_count == 0
         assert got[0] == headers[keys[0]]
@@ -333,27 +334,27 @@ def _written_dumps(directory, header_design):
     words = np.arange(5, dtype=np.uint64)
     files = {}
     for key in itertools.product([0, 1], [0, 1]):
-        files[key] = Path(directory, dump_filename("P4_b", *key))
+        files[key] = dump_filename("P4_b", *key)
         header = DumpHeader(header_design, 5, 12, 8, "MX", "slow", *key)
-        files[key].write_text(format_dump(header, words), encoding="ascii")
+        Path(directory, files[key]).write_text(format_dump(header, words), encoding="ascii")
     return files
 
 
 def test_load_bits_refuses_a_dump_with_bytes_past_its_body(tmp_path):
     files = _written_dumps(tmp_path, "P4_b")
-    with open(files[(1, 0)], "ab") as fh:  # one line more than its depth
+    with open(tmp_path / files[(1, 0)], "ab") as fh:  # one line more than its depth
         fh.write(b"0005: 005\n")
-    want = _load_outcome(load_bits_per_file, files, [0, 1], [0, 1])
+    want = _load_outcome(load_bits_per_file, tmp_path, files, [0, 1], [0, 1])
     assert want[0] is DumpFormatError
-    assert _load_outcome(_load_unpacked, files, [0, 1], [0, 1]) == want
+    assert _load_outcome(_load_unpacked, tmp_path, files, [0, 1], [0, 1]) == want
 
 
 def test_load_bits_refuses_dumps_whose_headers_name_another_design(tmp_path):
     files = _written_dumps(tmp_path, "P5_a")
-    want = _load_outcome(load_bits_per_file, files, [0, 1], [0, 1])
+    want = _load_outcome(load_bits_per_file, tmp_path, files, [0, 1], [0, 1])
     assert want == (InsufficientData,
                     "P4_b_chip000_cycle00.pufdump: design disagrees with its file name")
-    assert _load_outcome(_load_unpacked, files, [0, 1], [0, 1]) == want
+    assert _load_outcome(_load_unpacked, tmp_path, files, [0, 1], [0, 1]) == want
 
 
 def test_parse_round_trip():
