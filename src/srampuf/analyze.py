@@ -12,8 +12,8 @@ array of word bytes, one bit per bit, which is never unpacked whole.  Every
 statistic is an exact integer count over its axes: one packed ``wchd`` call
 per design XORs all reconstructions with their enrollment and popcounts
 them, one packed ``mhw`` call covers every reading, and the template folds
-the column sums of all readings, unpacked ``UNPACK_BYTES`` at a time as
-the bytes are stored; only the sums are put in bit order.
+the column sums of all readings, unpacked at most ``UNPACK_BYTES`` and 255
+rows at a time as the bytes are stored; only the sums are put in bit order.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ REFERENCE_TOTAL_BITS = 262_320
 
 PROFILE_MODES = ("mean", "top-chip")
 
-# Most unpacked bytes a column sum holds at once.
+# Most unpacked bytes a column sum holds at once, in at most 255 rows: uint8 sums stay exact.
 UNPACK_BYTES = 1 << 20
 
 
@@ -186,10 +186,10 @@ def _column_ones(rows: np.ndarray, width: int) -> np.ndarray:
     into bit order and cut to ``width``.
     """
     bits = rows.shape[-1] * 8
-    block = max(1, UNPACK_BYTES // bits)
+    block = min(255, max(1, UNPACK_BYTES // bits))
     ones = np.zeros(bits, dtype=np.uint32)
     for start in range(0, len(rows), block):
-        ones += np.unpackbits(rows[start:start + block], axis=-1).sum(axis=0, dtype=np.uint32)
+        ones += np.unpackbits(rows[start:start + block], axis=-1).sum(axis=0, dtype=np.uint8)
     return ones.reshape(-1, word_byte_width(width) * 8)[:, ::-1][:, :width].ravel()
 
 

@@ -9,7 +9,8 @@ gives and refuses any other ``.pufdump`` name.  It checks each dump's header
 against its name and the design's first dump.  A design's dumps are read once,
 by name in one open directory, each body into its slot of one buffer, and
 decode as one stack, or, if any is not the writer's bytes, are read again and
-decode one by one.  They stay packed: word bytes as ``decode_dump`` gives them.
+decode one by one to name the first bad one; a FIFO or other file that is not
+regular is refused by name.  They stay packed, as ``decode_dump`` gives them.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 import itertools
 import os
 import re
+import stat
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
 
 from ..biasdetect import InsufficientData
-from ..floorplan import format_config, load_config
+from ..floorplan import format_config, parse_config
 from ..simchip import DesignEntry, ProcessParams
 from .dumpfile import (DumpFormatError, DumpHeader, chip_line, decode_bodies, decode_dump,
                        format_dump, header_text, written_header)
@@ -132,21 +134,19 @@ def load_bits(dump_dir, design: str, files: dict, chips, cycles) -> tuple[DumpHe
         if (stack := _read_bodies(dump_dir, design, files, keys)) is not None:
             if (octets := decode_bodies(*stack, len(keys))) is not None:
                 return stack[0], octets.reshape(len(chips), len(cycles), -1)
-    first = packed = None
-    for n, (chip, cycle) in enumerate(keys):
+    first, readings = None, []
+    for chip, cycle in keys:
         with _named(path := Path(dump_dir, files[(chip, cycle)])):
-            header, octets = decode_dump(path.read_bytes())
+            header, octets = decode_dump(_read_regular(path))
         got = vars(header)  # field name -> value, in field order
         expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
         if got != expected:
             name = next(key for key in got if got[key] != expected[key])
             source = "its file name" if name in _NAMED else f"other {design} dumps"
             raise InsufficientData(f"{path.name}: {name} disagrees with {source}")
-        if first is None:
-            first = header
-            packed = np.empty((len(keys), octets.size), np.uint8)
-        packed[n] = octets.reshape(-1)
-    return first, packed.reshape(len(chips), len(cycles), -1)
+        first = first or header
+        readings.append(octets)
+    return first, np.stack(readings).reshape(len(chips), len(cycles), -1)
 
 
 def _read_bodies(dump_dir, design: str, files: dict,
@@ -157,7 +157,7 @@ def _read_bodies(dump_dir, design: str, files: dict,
 
     def fills(key, *buffers) -> bool:
         """Whether one ``readv`` of ``key``'s dump fills ``buffers`` and not ``spare``."""
-        fd = os.open(files[key], os.O_RDONLY, dir_fd=directory)
+        fd = os.open(files[key], os.O_RDONLY | os.O_NONBLOCK, dir_fd=directory)
         try:
             return os.readv(fd, [*buffers, spare]) == sum(map(len, buffers))
         finally:
@@ -169,13 +169,13 @@ def _read_bodies(dump_dir, design: str, files: dict,
         first = written_header(raw) if fills(keys[0], raw) else None
         if first is None or (first.design, first.chip, first.cycle) != (design, *keys[0]):
             return None
-        text = header_text(first)
-        prefix, size = text.removesuffix(chip_line(*keys[0])), len(raw) - len(text)
+        written = header_text(first).encode()
+        prefix, size = written.removesuffix(chip_line(*keys[0]).encode()), len(raw) - len(written)
         # The other dumps' headers as the writer writes them, end to end: one slot each.
-        expected = [(prefix + chip_line(*key)).encode() for key in keys[1:]]
+        expected = [prefix + chip_line(*key).encode() for key in keys[1:]]
         ends = list(itertools.accumulate(map(len, expected), initial=0))
         heads, joined = bytearray(ends[-1]), bytearray(size * len(keys))
-        joined[:size] = memoryview(raw)[len(text):]
+        joined[:size] = memoryview(raw)[len(written):]
         with memoryview(heads) as head, memoryview(joined) as body:
             # A body of another length could start the next dump's lines.
             if not all(fills(key, head[ends[n - 1]:ends[n]], body[n * size:(n + 1) * size])
@@ -186,15 +186,23 @@ def _read_bodies(dump_dir, design: str, files: dict,
         os.close(directory)
 
 
+def _read_regular(path: Path) -> bytes:
+    """The bytes of ``path``, opened without blocking; ValueError if not a regular file."""
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            raise ValueError("not a regular file")
+        return fh.read()
+
+
 def read_plan(dump_dir) -> tuple[ProcessParams | None, int | None]:
     """Process parameters from ``floorplan.cfg`` and the manifest's seed; None if absent."""
     plan, manifest = Path(dump_dir, FLOORPLAN_NAME), Path(dump_dir, MANIFEST_NAME)
     with _named(plan, ValueError):
-        params = load_config(plan)[0] if plan.exists() else None
+        params = parse_config(_read_regular(plan).decode("utf-8"))[0] if plan.exists() else None
     seed = None
     if manifest.exists():
         with _named(manifest, ValueError):
-            for line in manifest.read_text(encoding="utf-8").splitlines():
+            for line in _read_regular(manifest).decode("utf-8").splitlines():
                 key, _, value = line.strip().partition(" ")
                 if key == "seed":
                     seed = int(value)

@@ -13,15 +13,12 @@ field is ceil(w/4) digits wide with bit w-1 as the most significant bit.
 Widths run 1-64 and depths 1-65,536 (addresses are four hex digits); the
 writer and the header parser both refuse any other geometry.
 
-``format_dump`` is the format.  ``decode_dump`` gives each word's
-big-endian bytes, bits past the width zero: the packed form analysis
-counts on, which ``parse_dump`` views as words.  Its fast path,
+``format_dump`` is the format, and the only one read.  ``decode_dump``
+gives each word's big-endian bytes, bits past the width zero: the packed
+form analysis counts on, which ``parse_dump`` views as words.  Its decoder,
 ``decode_bodies``, decodes in place one buffer of one or many bodies laid
-end to end, and keeps the result only when each dump is what
-``format_dump`` writes: the same header lines, addresses, separators and
-newlines, lowercase hex and no bit past the width.
-Everything else goes to a line-by-line regex loop, which also accepts CRLF
-line ends and a missing final newline, and names the first bad line.
+end to end, and refuses any dump not byte for byte what ``format_dump``
+writes; the error then names the dump's first bad line.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ _DESIGN_RE = re.compile(
     r"#design (\S+) depth=(\d+) width=(\d+) mux=(\d+) orient=(\S+) class=(fast|slow)$"
 )
 _CHIP_RE = re.compile(r"#chip (\d+) cycle (\d+)$")
-_BODY_RE = re.compile(r"([0-9a-f]{4}): ([0-9a-f]+)$")
+_HEX = "0123456789abcdef"
 
 
 class DumpFormatError(ValueError):
@@ -156,20 +153,19 @@ def parse_dump(data: str | bytes) -> tuple[DumpHeader, np.ndarray]:
 def decode_dump(raw: bytes) -> tuple[DumpHeader, np.ndarray]:
     """Header and the big-endian bytes of each word, shaped (depth, ceil(width/8))."""
     if (header := written_header(raw)) is not None:
-        body = bytearray(memoryview(raw)[len(header_text(header)):])
+        body = bytearray(memoryview(raw)[len(header_text(header).encode()):])
         if (octets := decode_bodies(header, body, 1)) is not None:
             return header, octets
-    header, words = _parse_lines(raw.decode("utf-8"))
-    return header, words_to_octets(words, header.width)
+    raise DumpFormatError(_first_bad_line(raw.decode("utf-8")))
 
 
 def written_header(raw: bytes) -> DumpHeader | None:
     """Header of ``raw`` if its first lines are the ones ``format_dump`` writes for it."""
     try:
-        header = parse_header([line.decode("ascii") for line in raw.split(b"\n", 3)[:3]])
-    except ValueError:  # not ASCII, or not a header
+        header = parse_header([line.decode("utf-8") for line in raw.split(b"\n", 3)[:3]])
+    except ValueError:  # not UTF-8, or not a header
         return None
-    return header if raw.startswith(header_text(header).encode("ascii")) else None
+    return header if raw.startswith(header_text(header).encode()) else None
 
 
 def decode_bodies(header: DumpHeader, joined: bytearray, count: int) -> np.ndarray | None:
@@ -202,26 +198,24 @@ def decode_bodies(header: DumpHeader, joined: bytearray, count: int) -> np.ndarr
     return octets
 
 
-def _parse_lines(text: str) -> tuple[DumpHeader, np.ndarray]:
-    """One regex per body line; raises DumpFormatError naming the bad line."""
+def _first_bad_line(text: str) -> str:
+    """Why ``decode_dump`` refused ``text``: split at any line end, its first bad line by
+    content, else its first line whose header numbers or line end the writer would not write."""
     lines = text.splitlines()
     header = parse_header(lines[:3])
-    body = lines[3:]
-    if len(body) != header.depth:
-        raise DumpFormatError(f"{len(body)} body lines for depth {header.depth}")
+    if len(lines) - 3 != header.depth:
+        return f"{len(lines) - 3} body lines for depth {header.depth}"
     digits = word_hex_width(header.width)
-    words = np.zeros(header.depth, dtype=np.uint64)
-    for addr, line in enumerate(body):
-        m3 = _BODY_RE.match(line)
-        if not m3 or len(m3.group(2)) != digits:
-            raise DumpFormatError(f"bad body line {addr}: {line!r}")
-        if int(m3.group(1), 16) != addr:
-            raise DumpFormatError(f"address {m3.group(1)} out of order at line {addr}")
-        value = int(m3.group(2), 16)
-        if header.width < 64 and value >> header.width:
-            raise DumpFormatError(f"word {m3.group(2)} wider than {header.width} bits")
-        words[addr] = value
-    return header, words
+    for addr, line in enumerate(lines[3:]):
+        if len(line) != digits + 6 or line[4:6] != ": " or (line[:4] + line[6:]).strip(_HEX):
+            return f"bad body line {addr}: {line!r}"
+        if int(line[:4], 16) != addr:
+            return f"address {line[:4]} out of order at line {addr}"
+        if int(line[6:], 16) >> header.width:
+            return f"word {line[6:]} wider than {header.width} bits"
+    written = header_text(header).splitlines(True) + [line + "\n" for line in lines[3:]]
+    return next(f"line {n} is {got!r}, not {want!r}" for n, (got, want)
+                in enumerate(zip(text.splitlines(True), written), 1) if got != want)
 
 
 def words_to_bits(words, w: int) -> np.ndarray:

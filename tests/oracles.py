@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's own code paths: direct
 summation instead of FFT, per-phase folding instead of spectral peaks,
 string assembly instead of integer shifting.  Slow but obviously correct.
 The plot-file writer that formats every value with its own ``%.8f`` gives
-the reference bytes for plot files, and a design's dumps read and decoded
-to bits one file at a time give the reference bits and errors of
-``load_bits``, whose packed readings the tests unpack to compare.  A
+the reference bytes for plot files.  A dump read one regex per line, then
+held to the text ``format_dump_lines`` writes for what was read, gives the
+reference words and errors of the dump reader and, one file at a time, the
+reference bits and errors of ``load_bits``, whose packed readings the tests
+unpack to compare.  A
 glob, a lenient name regex and a round trip through ``dump_filename`` give
 the reference index and refusals of ``scan_dump_dir``.
 The simulator as it stood with two arrays per device, mismatch and
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet import protocol as wire
 from srampuf.chipnet.dumpdir import _NAMED, _named, dump_filename
-from srampuf.chipnet.dumpfile import decode_dump
+from srampuf.chipnet.dumpfile import DumpFormatError, decode_dump, parse_header, words_to_bits
 from srampuf.layout import Geometry, Orientation
 from srampuf.patterns import parse_run_length
 from srampuf.simchip import (
@@ -140,6 +142,43 @@ def parse_dump_lines(text):
     return np.array(words, dtype=np.uint64)
 
 
+_BODY_RE = re.compile(r"([0-9a-f]{4}): ([0-9a-f]+)$")
+
+
+def parse_lines(text):
+    """Header and words of a dump, one regex per line split at any line end, so it also
+    takes line ends and header numbers the writer never writes; errors name the line."""
+    lines = text.splitlines()
+    header = parse_header(lines[:3])
+    body = lines[3:]
+    if len(body) != header.depth:
+        raise DumpFormatError(f"{len(body)} body lines for depth {header.depth}")
+    digits = -(-header.width // 4)
+    words = np.zeros(header.depth, dtype=np.uint64)
+    for addr, line in enumerate(body):
+        m = _BODY_RE.match(line)
+        if not m or len(m.group(2)) != digits:
+            raise DumpFormatError(f"bad body line {addr}: {line!r}")
+        if int(m.group(1), 16) != addr:
+            raise DumpFormatError(f"address {m.group(1)} out of order at line {addr}")
+        value = int(m.group(2), 16)
+        if header.width < 64 and value >> header.width:
+            raise DumpFormatError(f"word {m.group(2)} wider than {header.width} bits")
+        words[addr] = value
+    return header, words
+
+
+def parse_written(text):
+    """``parse_lines``, then the text must be what ``format_dump_lines`` writes for the
+    header and words read; else the error names the first line that differs."""
+    header, words = parse_lines(text)
+    written = format_dump_lines(header, words).splitlines(True)
+    for n, (got, want) in enumerate(zip(text.splitlines(True), written), 1):
+        if got != want:
+            raise DumpFormatError(f"line {n} is {got!r}, not {want!r}")
+    return header, words
+
+
 def unpack_octets(octets: np.ndarray, width: int) -> np.ndarray:
     """(words, width) bit matrix of big-endian word bytes; bit b of each word in column b."""
     return np.unpackbits(octets[:, ::-1], axis=1, bitorder="little")[:, :width]
@@ -171,13 +210,15 @@ def scan_dump_dir_by_glob(dump_dir):
 
 
 def load_bits_per_file(dump_dir, design, files, chips, cycles):
-    """``dumpdir.load_bits``, unpacked, as one read and one ``decode_bits`` per file, in grid order."""
+    """``dumpdir.load_bits``, unpacked, as one read and one ``parse_written`` per file,
+    in grid order."""
     first = bits = None
     for i, chip in enumerate(chips):
         for j, cycle in enumerate(cycles):
             path = Path(dump_dir, files[(chip, cycle)])
             with _named(path):
-                header, matrix = decode_bits(path.read_bytes())
+                header, words = parse_written(path.read_bytes().decode("utf-8"))
+            matrix = words_to_bits(words, header.width)
             got = vars(header)  # field name -> value, in field order
             expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
             if got != expected:

@@ -40,6 +40,7 @@ from srampuf.biasdetect import (
 from srampuf.chipnet import dumpdir
 from srampuf.chipnet.dumpdir import dump_filename, grid, load_bits, write_cycle
 from srampuf.chipnet.dumpfile import (
+    DumpFormatError,
     DumpHeader,
     bits_to_words,
     format_dump,
@@ -285,7 +286,7 @@ def _open_descriptors() -> int:
 def test_load_bits_leaves_no_descriptor_open(tmp_path, monkeypatch, case):
     write_bank_dumps(tmp_path, SMALL[:1], 1, chips=[0, 1], cycles=[0, 1, 2])
     files = scan_dump_dir(tmp_path)["A"]
-    if case == "per-file":  # a header the writer would not write sends it file by file
+    if case == "per-file":  # a header the writer would not write: refused file by file
         path = tmp_path / files[(1, 0)]
         path.write_bytes(path.read_bytes().replace(b"depth=", b"depth=0", 1))
     elif case == "readv fails":  # an OSError in the third read of the one-buffer pass
@@ -305,7 +306,10 @@ def test_load_bits_leaves_no_descriptor_open(tmp_path, monkeypatch, case):
     monkeypatch.setattr(dumpdir, "decode_dump",
                         lambda raw, decode=dumpdir.decode_dump: decoded.append(1) or decode(raw))
     before = _open_descriptors()
-    if case == "directory":
+    if case == "per-file":
+        with pytest.raises(DumpFormatError, match=f"^{path.name}: line 2 is "):
+            load_bits(tmp_path, "A", files, *grid({"A": files}))
+    elif case == "directory":
         with pytest.raises(IsADirectoryError):
             load_bits(tmp_path, "A", files, *grid({"A": files}))
     else:

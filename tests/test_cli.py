@@ -1,6 +1,7 @@
 """Command-line entry points, end to end."""
 
 import json
+import os
 import re
 import signal
 import subprocess
@@ -259,13 +260,29 @@ DUMP = "B_chip001_cycle01.pufdump"
     (_copy_to("B_chip1_cycle1.pufdump"), "B_chip1_cycle1.pufdump", "not a dump name"),
     (_copy_to("B_chip0001_cycle01.pufdump"), "B_chip0001_cycle01.pufdump", "not a dump name"),
     (_copy_to("notes.pufdump"), "notes.pufdump", "not a dump name"),
+    # Forms the writer never writes, though a reader split at any line end would take them.
+    (_rewrite(b"\n", b"\r\n"), DUMP, r"line 1 is '#PUFDUMP v1\r\n', not '#PUFDUMP v1\n'"),
+    (lambda path: path.write_bytes(path.read_bytes()[:-1]), DUMP, "line 131 is '007f: "),
+    (_rewrite(b"depth=128", b"depth=0128"), DUMP, "line 2 is '#design B depth=0128 width=8 "),
 ], ids=["body", "depth", "header-utf8", "body-utf8", "chip", "design", "orient", "short-name",
-        "long-name", "stray-name"])
+        "long-name", "stray-name", "crlf", "no-final-newline", "depth-leading-zero"])
 def test_analyze_names_the_dump_behind_a_format_error(small_dumps, capsys, damage, name,
                                                       message):
     damage(small_dumps / DUMP)
     err = _analyze_error(small_dumps, capsys)
     assert err.startswith(f"error: {name}: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", [DUMP, "manifest.txt", "floorplan.cfg"])
+def test_analyze_refuses_a_fifo_rather_than_wait_on_it(small_dumps, name):
+    (small_dumps / name).unlink()
+    os.mkfifo(small_dumps / name)
+    # In a child process: a read that blocks on the FIFO fails the test instead of hanging it.
+    proc = subprocess.run([sys.executable, "-m", "srampuf.cli", "analyze", str(small_dumps),
+                           "--baseline", "A", "--out", str(small_dumps / "r.json")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {name}: not a regular file\n"
 
 
 @pytest.fixture()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (decode_bits, format_dump_lines, load_bits_per_file, parse_dump_lines,
-                     unpack_octets)
+                     parse_lines, parse_written, unpack_octets)
 from srampuf.biasdetect import InsufficientData
 from srampuf.chipnet import collector, dumpdir, dumpfile
 from srampuf.chipnet.dumpdir import FLOORPLAN_NAME, MANIFEST_NAME, dump_filename, load_bits
@@ -21,7 +21,6 @@ from srampuf.chipnet.dumpfile import (
     MAGIC,
     DumpFormatError,
     DumpHeader,
-    _parse_lines,
     bits_to_words,
     decode_bodies,
     decode_dump,
@@ -185,16 +184,31 @@ WIDE_TEXT = format_dump(WIDE, [0x3FF, 0x000, 0x2A5, 0x15A, 0x001, 0x200])
     ],
 )
 def test_fixed_width_parse_falls_back_to_the_line_loop(mutate, expected):
+    """``expected`` is the line loop's error, or None where the loop reads the text."""
     text = mutate(WIDE_TEXT)
-    reference = _outcome(_parse_lines, text)
-    if expected is None:
-        assert reference[0] == WIDE
+    lenient = _outcome(parse_lines, text)
+    assert lenient[0] == WIDE if expected is None else lenient == ("error", expected)
+    # The reader takes only the untouched dump, and refuses the rest as the strict loop does.
+    reference = _outcome(parse_written, text)
+    if text == WIDE_TEXT or expected:
+        assert reference == lenient
     else:
-        assert reference == ("error", expected)
+        assert reference[0] == "error"
     assert _outcome(parse_dump, text) == reference
     assert _outcome(parse_dump, text.encode("utf-8")) == reference
     # only the untouched dump fits the fixed-width view
     assert (_fast_path(text.encode("utf-8")) is None) == (text != WIDE_TEXT)
+
+
+@pytest.mark.parametrize("end", ["\r", "\v", "\f", "\x1c", "\x85", "\u2028"],
+                         ids=["cr", "vt", "ff", "fs", "nel", "ls"])
+def test_the_reader_refuses_every_other_line_end(end):
+    text = WIDE_TEXT.replace("0002: 2a5\n", "0002: 2a5" + end)
+    assert _outcome(parse_lines, text)[0] == WIDE  # a reader split at any line end takes it
+    expected = ("error", f"line 6 is {'0002: 2a5' + end!r}, not '0002: 2a5\\n'")
+    assert _outcome(parse_written, text) == expected
+    assert _outcome(parse_dump, text) == expected
+    assert _outcome(parse_dump, text.encode("utf-8")) == expected
 
 
 # Bytes a mutation writes or inserts: uppercase and non-hex digits, a space,
@@ -226,7 +240,7 @@ def test_parse_dump_agrees_with_the_line_loop_on_mutated_dumps(data):
         head, tail = raw[:at], raw[at:] if mutation == "insert" else raw[at + 1:]
         raw = head + (b"" if mutation == "delete" else byte) + tail
     text = raw.decode("ascii")
-    reference = _outcome(_parse_lines, text)
+    reference = _outcome(parse_written, text)
     assert _outcome(parse_dump, text) == reference
     assert _outcome(parse_dump, raw) == reference
     # The path analyze reads: the same bits as the line loop's words, or the same error.
@@ -234,9 +248,7 @@ def test_parse_dump_agrees_with_the_line_loop_on_mutated_dumps(data):
         reference[0], words_to_bits(reference[1], reference[0].width).tolist())
     assert _outcome(decode_bits, raw) == bits
     # The fast path takes exactly the bytes the writer writes.
-    if reference[0] != "error":
-        written = format_dump(*reference).encode("ascii")
-        assert (_fast_path(raw) is None) == (raw != written)
+    assert (_fast_path(raw) is None) == (reference[0] == "error")
     if mutation == "none":
         assert reference[0] == header
         assert reference[1] == parse_dump_lines(text).tolist() == words.tolist()
@@ -355,6 +367,20 @@ def test_load_bits_refuses_dumps_whose_headers_name_another_design(tmp_path):
     assert want == (InsufficientData,
                     "P4_b_chip000_cycle00.pufdump: design disagrees with its file name")
     assert _load_outcome(_load_unpacked, tmp_path, files, [0, 1], [0, 1]) == want
+
+
+def test_a_design_named_beyond_ascii_decodes_as_one_stack(tmp_path):
+    keys = list(itertools.product([0, 1], [0, 1]))
+    files = {key: dump_filename("P\u00e9", *key) for key in keys}
+    for key in keys:
+        header = DumpHeader("P\u00e9", 5, 12, 8, "MX", "slow", *key)
+        words = np.arange(5, dtype=np.uint64) * np.uint64(1 + sum(key))
+        Path(tmp_path, files[key]).write_text(format_dump(header, words), encoding="utf-8")
+    assert decode_dump(Path(tmp_path, files[(1, 1)]).read_bytes())[0] == header
+    with mock.patch.object(dumpdir, "decode_dump", None):  # never file by file
+        got = _load_unpacked(tmp_path, "P\u00e9", files, [0, 1], [0, 1])
+    want = load_bits_per_file(tmp_path, "P\u00e9", files, [0, 1], [0, 1])
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 def test_parse_round_trip():

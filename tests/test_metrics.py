@@ -181,6 +181,14 @@ def test_packed_counts_equal_the_bit_array_counts(data):
     assert np.array_equal(ones, bits.reshape(-1, cells).sum(axis=0))
 
 
+def test_column_sums_stay_exact_past_255_readings():
+    # One block would hold all 300 rows, past what a uint8 sum can count.
+    packed = np.full((300, 2), 0xFF, dtype=np.uint8)
+    with mock.patch.object(analyze, "UNPACK_BYTES", 1 << 30):
+        ones = analyze._column_ones(packed, 16)
+    assert np.array_equal(ones, np.full(16, 300))
+
+
 def test_packed_readings_must_be_whole_words():
     with pytest.raises(LengthMismatch):
         wchd(np.zeros(3, np.uint8), np.zeros(3, np.uint8), width=9)
