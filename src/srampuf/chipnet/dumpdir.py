@@ -9,12 +9,14 @@ gives and refuses any other ``.pufdump`` name.  It checks each dump's header
 against its name and the design's first dump.  A design's dumps are read once,
 by name in one open directory, each body into its slot of one buffer, and
 decode as one stack, or, if any is not the writer's bytes, are read again and
-decode one by one to name the first bad one; a FIFO or other file that is not
-regular is refused by name.  They stay packed, as ``decode_dump`` gives them.
+decode one by one to name the first bad one.  They stay packed, as
+``decode_dump`` gives them.  No open blocks: a FIFO or other file that is not
+regular is refused by name, whether it is to be read or written.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import os
 import re
@@ -49,8 +51,8 @@ def write_cycle(out: Path, chip: int, cycle: int, designs: tuple[DesignEntry, ..
         g = entry.geometry
         header = DumpHeader(entry.name, g.depth, g.width, g.mux, entry.orientation.value,
                             g.speed_class, chip, cycle)
-        path = out / dump_filename(entry.name, chip, cycle)
-        path.write_text(format_dump(header, values), encoding="utf-8")
+        with _named(path := out / dump_filename(entry.name, chip, cycle), ValueError):
+            _regular(path, format_dump(header, values).encode())
         paths.append(path)
     return paths
 
@@ -68,8 +70,10 @@ def write_manifest(out: Path, chips: int, cycles: int, designs: tuple[DesignEntr
         f"total_bits {total_bits}",
         *(f"server_cycle {chip} {cycle} {index}" for chip, cycle, index in server_cycles),
     ]
-    (out / MANIFEST_NAME).write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    (out / FLOORPLAN_NAME).write_text(format_config(params, designs), encoding="utf-8")
+    for name, text in ((MANIFEST_NAME, "\n".join(manifest) + "\n"),
+                       (FLOORPLAN_NAME, format_config(params, designs))):
+        with _named(out / name, ValueError):
+            _regular(out / name, text.encode())
 
 
 @contextmanager
@@ -137,7 +141,7 @@ def load_bits(dump_dir, design: str, files: dict, chips, cycles) -> tuple[DumpHe
     first, readings = None, []
     for chip, cycle in keys:
         with _named(path := Path(dump_dir, files[(chip, cycle)])):
-            header, octets = decode_dump(_read_regular(path))
+            header, octets = decode_dump(_regular(path))
         got = vars(header)  # field name -> value, in field order
         expected = {**vars(first or header), "design": design, "chip": chip, "cycle": cycle}
         if got != expected:
@@ -186,23 +190,31 @@ def _read_bodies(dump_dir, design: str, files: dict,
         os.close(directory)
 
 
-def _read_regular(path: Path) -> bytes:
-    """The bytes of ``path``, opened without blocking; ValueError if not a regular file."""
-    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+def _regular(path: Path, data: bytes | None = None) -> bytes | int:
+    """The bytes of ``path``, or the count of ``data`` written to it (a new file 0o666 before
+    umask), opened without blocking; ValueError if it is not a regular file."""
+    mode = "rb" if data is None else "wb"
+    try:
+        fh = open(path, mode, opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK, 0o666))
+    except OSError as e:
+        if e.errno == errno.ENXIO:  # a FIFO that no one reads refuses a write-open
+            raise ValueError("not a regular file") from None
+        raise
+    with fh:
         if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             raise ValueError("not a regular file")
-        return fh.read()
+        return fh.read() if data is None else fh.write(data)
 
 
 def read_plan(dump_dir) -> tuple[ProcessParams | None, int | None]:
     """Process parameters from ``floorplan.cfg`` and the manifest's seed; None if absent."""
     plan, manifest = Path(dump_dir, FLOORPLAN_NAME), Path(dump_dir, MANIFEST_NAME)
     with _named(plan, ValueError):
-        params = parse_config(_read_regular(plan).decode("utf-8"))[0] if plan.exists() else None
+        params = parse_config(_regular(plan).decode("utf-8"))[0] if plan.exists() else None
     seed = None
     if manifest.exists():
         with _named(manifest, ValueError):
-            for line in _read_regular(manifest).decode("utf-8").splitlines():
+            for line in _regular(manifest).decode("utf-8").splitlines():
                 key, _, value = line.strip().partition(" ")
                 if key == "seed":
                     seed = int(value)

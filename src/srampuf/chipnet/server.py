@@ -33,9 +33,7 @@ class _Session:
         self.server = server
         self.conn = conn
         self.chip: int | None = None
-        # Power-up frames, None while the chip is off.
-        # Row starts[s] + a: design s, address a; last row: error.
-        self.frames = self.starts = self.depths = None
+        self.frames = None  # the power-up's frame table (see ChipServer), None while off
 
     # -- command handlers ------------------------------------------------
 
@@ -54,16 +52,13 @@ class _Session:
     def power_on(self) -> bytes:
         if self.chip is None:
             return wire.encode_error(wire.ERR_NO_CHIP)
-        with self.server._lock:
-            cycle = self.server._cycles.get(self.chip, 0)
-            snaps = self.server.bank.snapshots(self.chip, cycle)
-            self.server._cycles[self.chip] = cycle + 1  # only once simulated
-        tables = [wire.frames_for_bits(snaps[d.name].bits)
-                  for d in self.server.bank.designs]
-        error = np.frombuffer(wire.encode_error(wire.ERR_BAD_REQUEST), dtype=np.uint8)
-        self.frames = np.concatenate(tables + [error[np.newaxis]])
-        self.depths = np.array([len(t) for t in tables] + [0])
-        self.starts = np.cumsum(self.depths) - self.depths
+        server = self.server
+        with server._lock:
+            cycle = server._cycles.get(self.chip, 0)
+            snaps = server.bank.snapshots(self.chip, cycle)
+            server._cycles[self.chip] = cycle + 1  # only once simulated
+        self.frames = np.concatenate([*(wire.frames_for_bits(snaps[d.name].bits)
+                                        for d in server.bank.designs), server.error_row])
         return wire.encode_control(cycle)
 
     def power_off(self) -> bytes:
@@ -78,20 +73,19 @@ class _Session:
         if self.frames is None:
             return wire.encode_error(wire.ERR_NOT_POWERED)
         select, address = wire.decode_requests(int.from_bytes(payload, "big"))
-        if select >= len(self.server.bank.designs) or address >= self.depths[select]:
+        if address >= self.server.depths[select]:
             return wire.encode_error(wire.ERR_BAD_REQUEST)
-        return self.frames[self.starts[select] + address].tobytes()
+        return self.frames[self.server.starts[select] + address].tobytes()
 
     def read_run(self, buf: bytes, pos: int) -> tuple[bytes, int]:
-        """Frames for the (at most 2,048) OP_READ commands at buf[pos], and their count.
+        """Frames for the run of OP_READ commands at buf[pos], and their count.
 
         Each frame is what read() answers on a powered chip."""
-        count = min((len(buf) - pos) // 3, wire.MAX_ADDRESS + 1)
-        commands = np.frombuffer(buf, dtype=wire.READ_COMMAND, count=count, offset=pos)
+        commands = np.frombuffer(buf, dtype=wire.READ_COMMAND, count=(len(buf) - pos) // 3,
+                                 offset=pos)
         count = int(np.logical_and.accumulate(commands["op"] == wire.OP_READ).sum())
         select, addr = wire.decode_requests(commands["request"][:count])
-        select = np.minimum(select, len(self.depths) - 1)
-        rows = np.where(addr < self.depths[select], self.starts[select] + addr, -1)
+        rows = np.where(addr < self.server.depths[select], self.server.starts[select] + addr, -1)
         return self.frames[rows].tobytes(), count
 
     # -- stream loop -------------------------------------------------------
@@ -168,6 +162,11 @@ class ChipServer:
         for select, entry in enumerate(designs):
             wire.check_design(select, entry)
         self.bank = ChipBank(designs, params, seed)
+        # A power-up's frame table: row starts[s] + a is design s, address a; the last row
+        # is the error frame.  Each of the 32 selects a request holds has a depth, 0 if unused.
+        self.depths = np.array([d.geometry.depth for d in designs] + [0] * (32 - len(designs)))
+        self.starts = np.cumsum(self.depths) - self.depths
+        self.error_row = np.frombuffer(wire.encode_error(wire.ERR_BAD_REQUEST), np.uint8)[None]
         self._host = host
         self._port = port
         self._lock = threading.Lock()

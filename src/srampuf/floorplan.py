@@ -41,34 +41,20 @@ class ConfigError(ValueError):
         self.line = line
 
 
-def _entry(
-    name: str,
-    depth: int,
-    width: int,
-    mux: int,
-    speed: str,
-    orient: Orientation,
-    origin: tuple[int, int],
-    pattern: str,
-) -> DesignEntry:
-    g = Geometry(depth=depth, width=width, mux=mux, speed_class=speed)
-    return DesignEntry(name, g, orient, pattern, origin)
-
-
 # Eleven macros; readout select indices follow this order.  P1 is the
-# fast-compile baseline pair, everything else is high-density.
+# fast-compile baseline pair, everything else is high-density (class slow).
 DEFAULT_DESIGNS: tuple[DesignEntry, ...] = (
-    _entry("P1_a", 128, 64, 4, "fast", Orientation.R0, (0, 0), "0(32)1(64)0(64)"),
-    _entry("P1_b", 128, 64, 4, "fast", Orientation.R0, (640, 0), "0(32)1(64)0(64)"),
-    _entry("P2_a", 1024, 32, 8, "slow", Orientation.R90, (1280, 0), "0(32)1(64)0(64)"),
-    _entry("P2_b", 1024, 32, 8, "slow", Orientation.R270, (1920, 0), "0(32)1(64)0(64)"),
-    _entry("P3", 1024, 32, 16, "slow", Orientation.R270, (2560, 0), "0(29)1(29)"),
-    _entry("P4_a", 512, 32, 8, "slow", Orientation.MX, (0, 640), "0(16)1(16)"),
-    _entry("P4_b", 512, 32, 8, "slow", Orientation.MX, (640, 640), "0(16)1(16)"),
-    _entry("P4_c", 512, 32, 8, "slow", Orientation.MX, (1280, 640), "0(16)1(16)"),
-    _entry("P5_a", 1024, 32, 16, "slow", Orientation.R270, (1920, 640), "0(16)1(16)"),
-    _entry("P5_b", 1024, 32, 16, "slow", Orientation.MY90, (2560, 640), "0(16)1(16)"),
-    _entry("P6", 1024, 32, 8, "slow", Orientation.R0, (3200, 640), "0(16)1(32)0(32)"),
+    DesignEntry("P1_a", Geometry(128, 64, 4, "fast"), Orientation.R0, "0(32)1(64)0(64)", (0, 0)),
+    DesignEntry("P1_b", Geometry(128, 64, 4, "fast"), Orientation.R0, "0(32)1(64)0(64)", (640, 0)),
+    DesignEntry("P2_a", Geometry(1024, 32, 8), Orientation.R90, "0(32)1(64)0(64)", (1280, 0)),
+    DesignEntry("P2_b", Geometry(1024, 32, 8), Orientation.R270, "0(32)1(64)0(64)", (1920, 0)),
+    DesignEntry("P3", Geometry(1024, 32, 16), Orientation.R270, "0(29)1(29)", (2560, 0)),
+    DesignEntry("P4_a", Geometry(512, 32, 8), Orientation.MX, "0(16)1(16)", (0, 640)),
+    DesignEntry("P4_b", Geometry(512, 32, 8), Orientation.MX, "0(16)1(16)", (640, 640)),
+    DesignEntry("P4_c", Geometry(512, 32, 8), Orientation.MX, "0(16)1(16)", (1280, 640)),
+    DesignEntry("P5_a", Geometry(1024, 32, 16), Orientation.R270, "0(16)1(16)", (1920, 640)),
+    DesignEntry("P5_b", Geometry(1024, 32, 16), Orientation.MY90, "0(16)1(16)", (2560, 640)),
+    DesignEntry("P6", Geometry(1024, 32, 8), Orientation.R0, "0(16)1(32)0(32)", (3200, 640)),
 )
 
 
@@ -101,7 +87,7 @@ _PARAM_KEYS = {
     "beta": (1, _finite),
     "gradient": (2, _finite),
 }
-# In _entry's argument order; class and origin have defaults.
+# In format_config's output order; class and origin have defaults.
 _DESIGN_KEYS = {
     "depth": (1, int),
     "width": (1, int),
@@ -190,9 +176,10 @@ def parse_config(text: str) -> tuple[ProcessParams, tuple[DesignEntry, ...]]:
             if key not in values:
                 raise ConfigError(header_line, f"design {name!r} missing key {key!r}")
         try:
-            entry = _entry(name, *(values[key] for key in _DESIGN_KEYS))
+            geometry = Geometry(values["depth"], values["width"], values["mux"], values["class"])
         except LayoutError as e:
             raise ConfigError(header_line, f"design {name!r}: {e}")
+        entry = DesignEntry(name, geometry, values["orient"], values["pattern"], values["origin"])
         try:
             wire.check_design(len(designs), entry)
         except ValueError as e:

@@ -97,15 +97,6 @@ def orientation_sign(params: ProcessParams, o: Orientation) -> int:
 
 
 @dataclass(frozen=True)
-class DeviceArray:
-    """One simulated macro on one chip: static mismatch plus bias imprint, kept summed."""
-
-    design: DesignEntry
-    latent: np.ndarray  # (depth*width,) mismatch + imprint along readout order
-    imprint: np.ndarray  # (depth*width,) +-beta, read-only, shared by the design's chips
-
-
-@dataclass(frozen=True)
 class Snapshot:
     """Power-up state of one device: a depth x width bit matrix."""
 
@@ -124,27 +115,25 @@ def _imprint(pattern: str, cells: int, scale: float) -> np.ndarray:
     return imprint
 
 
-def sample_device(entry: DesignEntry, params: ProcessParams, chip_seed: int) -> DeviceArray:
-    """Fabricate one chip's instance of a design from a keyed random stream."""
-    g = entry.geometry
+def sample_device(entry: DesignEntry, params: ProcessParams, chip_seed: int) -> np.ndarray:
+    """One chip's device of a design: (cells,) mismatch + imprint, from a keyed stream."""
     scale = orientation_sign(params, entry.orientation) * params.beta
-    imprint = _imprint(entry.pattern, g.cells, scale)
     rng = np.random.default_rng(derive_seed(chip_seed, "mismatch", entry.name))
-    latent = rng.standard_normal(g.cells)  # the (depth, width) draws in C order
+    latent = rng.standard_normal(entry.geometry.cells)  # the (depth, width) draws in C order
     latent *= params.sigma_mismatch
-    latent += imprint
-    return DeviceArray(design=entry, latent=latent, imprint=imprint)
+    latent += _imprint(entry.pattern, entry.geometry.cells, scale)
+    return latent
 
 
-def power_up(dev: DeviceArray, params: ProcessParams, cycle_seed: int) -> Snapshot:
-    """One noisy power-up of a device; noiseless when sigma_noise is zero."""
-    g = dev.design.geometry
-    latent = dev.latent
+def power_up(entry: DesignEntry, latent: np.ndarray, params: ProcessParams,
+             cycle_seed: int) -> Snapshot:
+    """One noisy power-up of a design's device; noiseless when sigma_noise is zero."""
+    g = entry.geometry
     if params.sigma_noise > 0:
-        rng = np.random.default_rng(derive_seed(cycle_seed, "noise", dev.design.name))
-        latent = rng.standard_normal(g.cells)
-        latent *= params.sigma_noise
-        latent += dev.latent
+        rng = np.random.default_rng(derive_seed(cycle_seed, "noise", entry.name))
+        noisy = rng.standard_normal(g.cells)
+        noisy *= params.sigma_noise
+        latent = np.add(noisy, latent, out=noisy)
     return Snapshot(bits=np.greater(latent, 0).view(np.uint8).reshape(g.depth, g.width))
 
 
@@ -165,7 +154,8 @@ class ChipBank:
         self.seed = seed
         self._held = threading.local()  # .chip and .devices of this thread's last chip
 
-    def devices(self, chip: int) -> dict[str, DeviceArray]:
+    def devices(self, chip: int) -> dict[str, np.ndarray]:
+        """{design name: latent array} of one chip."""
         if chip < 0:
             raise ValueError(f"chip must be non-negative, got {chip}")
         held = self._held
@@ -182,7 +172,6 @@ class ChipBank:
         if chip < 0 or cycle < 0:
             raise ValueError(f"chip and cycle must be non-negative, got {chip}/{cycle}")
         cycle_seed = derive_seed(self.seed, "cycle", chip, cycle)
-        return {
-            name: power_up(dev, self.params, cycle_seed)
-            for name, dev in self.devices(chip).items()
-        }
+        devices = self.devices(chip)
+        return {d.name: power_up(d, devices[d.name], self.params, cycle_seed)
+                for d in self.designs}

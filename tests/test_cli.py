@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -283,6 +284,30 @@ def test_analyze_refuses_a_fifo_rather_than_wait_on_it(small_dumps, name):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr == f"error: {name}: not a regular file\n"
+
+
+@pytest.mark.parametrize("name", [DUMP, "manifest.txt", "floorplan.cfg"])
+def test_collect_refuses_a_fifo_rather_than_wait_on_it(tmp_path, small_cfg, name):
+    out = tmp_path / "dumps"
+    out.mkdir()
+    os.mkfifo(out / name)
+    # In a child process: a write-open that blocks on the FIFO fails the test instead of hanging it.
+    proc = subprocess.run([sys.executable, "-m", "srampuf.cli", "collect", "--config",
+                           str(small_cfg), "--seed", "7", "--chips", "2", "--cycles", "2",
+                           "--out", str(out)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {name}: not a regular file\n"
+    assert (out / name).is_fifo()
+
+
+def test_collect_creates_files_as_open_does(tmp_path, small_cfg, capsys):
+    old = os.umask(0o022)
+    try:
+        assert main(["collect", "--config", str(small_cfg), "--seed", "7", "--chips", "2",
+                     "--cycles", "2", "--out", str(tmp_path / "dumps")]) == 0
+    finally:
+        os.umask(old)
+    assert {stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "dumps").iterdir()} == {0o644}
 
 
 @pytest.fixture()

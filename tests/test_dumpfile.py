@@ -394,7 +394,7 @@ def test_round_trip_through_a_real_snapshot():
     g = Geometry(depth=64, width=32, mux=8)
     entry = DesignEntry("D", g, Orientation.R90, "0(16)1(16)")
     params = ProcessParams()
-    snap = power_up(sample_device(entry, params, 5), params, 6)
+    snap = power_up(entry, sample_device(entry, params, 5), params, 6)
     header = DumpHeader("D", g.depth, g.width, g.mux, "R90", "slow", 1, 2)
     parsed_header, words = parse_dump(format_dump(header, bits_to_words(snap.bits)))
     assert parsed_header == header

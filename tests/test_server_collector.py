@@ -277,7 +277,7 @@ def _pipelined_session():
 
     Each run follows a power-on and mixes good reads with malformed ones:
     reserved bit set, select 11-15, address past the design's depth.  One
-    run reads a whole design.
+    run reads a whole design, and one is longer than 2,048 reads.
     """
     rng = np.random.default_rng(2718)
     depths = [d.geometry.depth for d in DEFAULT_DESIGNS]
@@ -305,6 +305,12 @@ def _pipelined_session():
     for run in runs:
         at = int(rng.integers(1, len(commands)))
         commands[at:at] = run
+    # Bad requests on both sides of read 2,048; spliced in last, so no other run splits it.
+    bad = {2044: (0x10 | 3, 5), 2046: (13, 0), 2048: (2, depths[2]), 2049: (15, 2047)}
+    long_run = [bytes([wire.OP_SELECT_CHIP, 2]), bytes([wire.OP_POWER_ON])]
+    long_run += [_read(*bad.get(k, (k % 11, k % depths[k % 11]))) for k in range(2100)]
+    at = int(rng.integers(1, len(commands)))
+    commands[at:at] = long_run
     return commands
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,15 @@ def make_entry(name="D0", pattern="0(16)1(16)", orient=Orientation.R0,
                depth=1024, width=32, mux=8, origin=(0, 0)):
     g = Geometry(depth=depth, width=width, mux=mux)
     return DesignEntry(name, g, orient, pattern, origin)
+
+
+def imprint_of(entry, params, chip_seed=0):
+    """The design's cached imprint, checked to be what sample_device adds to a chip's mismatch."""
+    scale = orientation_sign(params, entry.orientation) * params.beta
+    imprint = _imprint(entry.pattern, entry.geometry.cells, scale)
+    mismatch = sample_device(entry, replace(params, beta=0.0), chip_seed)
+    assert np.array_equal(sample_device(entry, params, chip_seed), mismatch + imprint)
+    return imprint
 
 
 def test_derive_seed_matches_sha256_prefix():
@@ -93,48 +103,52 @@ def test_negating_the_gradient_flips_every_sign(gx, gy, o):
 
 def test_imprint_follows_pattern_along_readout():
     params = ProcessParams(beta=0.25)
-    dev = sample_device(make_entry(), params, chip_seed=11)
+    imprint = imprint_of(make_entry(), params, chip_seed=11)
     beta = params.beta
-    assert np.all(dev.imprint[:16] == -beta)
-    assert np.all(dev.imprint[16:32] == beta)
+    assert np.all(imprint[:16] == -beta)
+    assert np.all(imprint[16:32] == beta)
     # period 32 across the whole array, matching a literal pattern walk
-    cells = dev.imprint.size
+    cells = imprint.size
     expect = np.array(
         [beta if pattern_bit("0(16)1(16)", k) else -beta for k in range(cells)]
     )
-    assert np.array_equal(dev.imprint, expect)
+    assert np.array_equal(imprint, expect)
 
 
 def test_imprint_sign_flips_for_mirrored_placement():
     params = ProcessParams(beta=0.25)
-    up = sample_device(make_entry(orient=Orientation.R0), params, chip_seed=1)
-    down = sample_device(make_entry(orient=Orientation.R270), params, chip_seed=1)
-    assert np.array_equal(up.imprint, -down.imprint)
+    up = imprint_of(make_entry(orient=Orientation.R0), params, chip_seed=1)
+    down = imprint_of(make_entry(orient=Orientation.R270), params, chip_seed=1)
+    assert np.array_equal(up, -down)
 
 
 def test_zero_beta_means_zero_imprint():
-    dev = sample_device(make_entry(), ProcessParams(beta=0.0), chip_seed=5)
-    assert not dev.imprint.any()
+    assert not imprint_of(make_entry(), ProcessParams(beta=0.0), chip_seed=5).any()
 
 
 def test_sample_device_is_deterministic():
     a = sample_device(make_entry(), ProcessParams(), chip_seed=42)
     b = sample_device(make_entry(), ProcessParams(), chip_seed=42)
-    assert np.array_equal(a.latent, b.latent)
-    assert np.array_equal(a.imprint, b.imprint)
+    assert np.array_equal(a, b)
+    assert np.array_equal(imprint_of(make_entry(), ProcessParams(), chip_seed=42),
+                          imprint_of(make_entry(), ProcessParams(), chip_seed=43))
     c = sample_device(make_entry(), ProcessParams(), chip_seed=43)
-    assert not np.array_equal(a.latent, c.latent)
+    assert not np.array_equal(a, c)
 
 
 def test_chips_of_a_design_share_one_read_only_imprint():
-    bank = ChipBank([make_entry("A"), make_entry("B", orient=Orientation.R270)],
-                    ProcessParams(), seed=8)
-    one, two = bank.devices(0), bank.devices(1)
-    for name in ("A", "B"):
-        assert one[name].imprint is two[name].imprint
+    designs = [make_entry("A"), make_entry("B", orient=Orientation.R270)]
+    bank = ChipBank(designs, ProcessParams(), seed=8)
+    _imprint.cache_clear()
+    bank.devices(0)
+    bank.devices(1)
+    info = _imprint.cache_info()
+    assert (info.misses, info.hits) == (2, 2)  # one imprint per design, reused by chip 1
+    a, b = (imprint_of(d, bank.params) for d in designs)
+    for imprint in (a, b):
         with pytest.raises(ValueError):
-            one[name].imprint[0] = 0.0
-    assert one["A"].imprint is not one["B"].imprint
+            imprint[0] = 0.0
+    assert a is not b
 
 
 def test_noise_calibration_caches_one_imprint():
@@ -147,18 +161,20 @@ def test_noise_calibration_caches_one_imprint():
 
 def test_noiseless_power_ups_are_identical():
     params = ProcessParams(sigma_noise=0.0)
-    dev = sample_device(make_entry(), params, chip_seed=3)
-    s1 = power_up(dev, params, cycle_seed=100)
-    s2 = power_up(dev, params, cycle_seed=200)
+    entry = make_entry()
+    latent = sample_device(entry, params, chip_seed=3)
+    s1 = power_up(entry, latent, params, cycle_seed=100)
+    s2 = power_up(entry, latent, params, cycle_seed=200)
     assert np.array_equal(s1.bits, s2.bits)
 
 
 def test_power_up_is_deterministic_per_cycle_seed():
     params = ProcessParams()
-    dev = sample_device(make_entry(), params, chip_seed=3)
-    a = power_up(dev, params, cycle_seed=7)
-    b = power_up(dev, params, cycle_seed=7)
-    c = power_up(dev, params, cycle_seed=8)
+    entry = make_entry()
+    latent = sample_device(entry, params, chip_seed=3)
+    a = power_up(entry, latent, params, cycle_seed=7)
+    b = power_up(entry, latent, params, cycle_seed=7)
+    c = power_up(entry, latent, params, cycle_seed=8)
     assert np.array_equal(a.bits, b.bits)
     assert not np.array_equal(a.bits, c.bits)
 
@@ -166,9 +182,9 @@ def test_power_up_is_deterministic_per_cycle_seed():
 def test_huge_beta_pins_bits_to_the_pattern():
     params = ProcessParams(beta=1000.0)
     entry = make_entry(pattern="0(16)1(16)")
-    dev = sample_device(entry, params, chip_seed=9)
-    snap = power_up(dev, params, cycle_seed=1)
-    expect = parse_run_length(entry.pattern).bits(dev.imprint.size)
+    latent = sample_device(entry, params, chip_seed=9)
+    snap = power_up(entry, latent, params, cycle_seed=1)
+    expect = parse_run_length(entry.pattern).bits(latent.size)
     assert np.array_equal(snap.readout(), expect)
 
 
@@ -177,8 +193,8 @@ def test_unbiased_noiseless_weight_is_near_half():
     params = ProcessParams(beta=0.0, sigma_noise=0.0)
     entry = make_entry()  # 1024 x 32 = 2**15 cells
     for seed in (0, 1, 2):
-        dev = sample_device(entry, params, chip_seed=seed)
-        snap = power_up(dev, params, cycle_seed=0)
+        latent = sample_device(entry, params, chip_seed=seed)
+        snap = power_up(entry, latent, params, cycle_seed=0)
         w = snap.readout().mean()
         assert 0.48 <= w <= 0.52
 
@@ -236,9 +252,9 @@ def test_bank_keeps_the_last_chip_only():
     bank.devices(5)
     again = bank.devices(2)
     assert again is not first and again.keys() == first.keys()
-    for name, dev in first.items():
-        assert again[name] is not dev
-        assert np.array_equal(again[name].latent, dev.latent)
+    for name, latent in first.items():
+        assert again[name] is not latent
+        assert np.array_equal(again[name], latent)
 
 
 @pytest.mark.parametrize("walk, made", [
@@ -353,9 +369,9 @@ def test_simulator_matches_the_two_array_reference(entry, sigma_m, sigma_n, beta
     """Latent and bits equal the two-array simulator's, noiseless power-ups included."""
     params = ProcessParams(sigma_mismatch=sigma_m, sigma_noise=sigma_n, beta=beta)
     latent, bits = power_up_reference(entry, params, chip_seed, cycle_seed)
-    dev = sample_device(entry, params, chip_seed)
-    assert np.array_equal(dev.latent, latent)
-    assert np.array_equal(power_up(dev, params, cycle_seed).bits, bits)
+    got = sample_device(entry, params, chip_seed)
+    assert np.array_equal(got, latent)
+    assert np.array_equal(power_up(entry, got, params, cycle_seed).bits, bits)
 
 
 @settings(max_examples=4, derandomize=True, deadline=None)
@@ -371,5 +387,5 @@ def test_chip_bank_matches_the_two_array_reference(seed, points):
             latent, bits = power_up_reference(entry, bank.params,
                                               derive_seed(seed, "chip", chip),
                                               derive_seed(seed, "cycle", chip, cycle))
-            assert np.array_equal(devices[entry.name].latent, latent)
+            assert np.array_equal(devices[entry.name], latent)
             assert np.array_equal(snaps[entry.name].bits, bits)
