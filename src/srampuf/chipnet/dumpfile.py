@@ -225,12 +225,6 @@ def words_to_bits(words, w: int) -> np.ndarray:
     return ((arr[:, np.newaxis] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
-def words_to_octets(words, w: int) -> np.ndarray:
-    """(depth, ceil(w/8)) big-endian bytes of word values, as ``decode_dump`` gives them."""
-    octets = np.asarray(words, dtype=np.uint64).astype(">u8").view(np.uint8).reshape(-1, 8)
-    return octets[:, 8 - word_byte_width(w):]
-
-
 def bits_to_words(bits) -> np.ndarray:
     """Word values of a (depth, w) bit matrix, w <= 64; inverse of words_to_bits."""
     mat = np.asarray(bits, dtype=np.uint8)

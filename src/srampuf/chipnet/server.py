@@ -4,10 +4,10 @@ Each client session owns at most one selected chip at a time; selecting a
 chip held by another live session is rejected in-band.  Commands within a
 session are answered strictly in order, so responses of pipelined requests
 arrive in request order.  A run of reads on a powered chip is answered
-by one lookup in the power-up's frame table; every other command goes
-through the per-opcode loop.  All chip state is a pure function of
-(master seed, chip id, cycle index): two servers built from the same seed
-answer identical command sequences with identical bytes.
+by one lookup in the power-up's frame table; every other command through
+one table of opcode -> (command length, handler).  All chip state is a
+pure function of (master seed, chip id, cycle index): two servers built
+from the same seed answer identical command sequences with identical bytes.
 
 It stops by shutting its listener down, which on Linux wakes the accept
 thread's blocked ``accept()`` (a close alone would not), then ends and
@@ -91,41 +91,31 @@ class _Session:
     # -- stream loop -------------------------------------------------------
 
     def run(self) -> None:
+        # Bound here, not on the class, so a wrapper installed on the class before the
+        # session starts sees every call.  Each handler takes the bytes after the opcode.
+        table = {wire.OP_SELECT_CHIP: (2, lambda arg: self.select_chip(arg[0])),
+                 wire.OP_POWER_OFF: (1, lambda arg: self.power_off()),
+                 wire.OP_POWER_ON: (1, lambda arg: self.power_on()),
+                 wire.OP_READ: (3, self.read)}
+        unknown = (1, lambda arg: wire.encode_error(wire.ERR_UNKNOWN_OPCODE))
         buf = b""
         try:
-            while True:
-                chunk = self.conn.recv(1 << 16)
-                if not chunk:
-                    break
+            while chunk := self.conn.recv(1 << 16):
                 buf += chunk
                 out = []
                 pos = 0
                 while pos < len(buf):
-                    opcode = buf[pos]
-                    if opcode == wire.OP_SELECT_CHIP:
-                        if pos + 2 > len(buf):
-                            break
-                        out.append(self.select_chip(buf[pos + 1]))
-                        pos += 2
-                    elif opcode == wire.OP_POWER_OFF:
-                        out.append(self.power_off())
-                        pos += 1
-                    elif opcode == wire.OP_POWER_ON:
-                        out.append(self.power_on())
-                        pos += 1
-                    elif opcode == wire.OP_READ:
-                        if pos + 3 > len(buf):
-                            break
-                        if (self.frames is not None and pos + 6 <= len(buf)
-                                and buf[pos + 3] == wire.OP_READ):
-                            frames, count = self.read_run(buf, pos)
-                        else:
-                            frames, count = self.read(buf[pos + 1 : pos + 3]), 1
-                        out.append(frames)
-                        pos += 3 * count
+                    if (self.frames is not None and buf[pos] == wire.OP_READ
+                            and pos + 6 <= len(buf) and buf[pos + 3] == wire.OP_READ):
+                        reply, count = self.read_run(buf, pos)
+                        length = 3 * count
                     else:
-                        out.append(wire.encode_error(wire.ERR_UNKNOWN_OPCODE))
-                        pos += 1
+                        length, handler = table.get(buf[pos], unknown)
+                        if pos + length > len(buf):  # the rest comes in a later chunk
+                            break
+                        reply = handler(buf[pos + 1 : pos + length])
+                    out.append(reply)
+                    pos += length
                 buf = buf[pos:]
                 if out:
                     self.conn.sendall(b"".join(out))

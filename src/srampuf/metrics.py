@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chipnet.dumpfile import bits_to_words, word_byte_width, words_to_octets
+from .chipnet.dumpfile import word_byte_width
 from .simchip import ChipBank, DesignEntry, ProcessParams, derive_seed
 
 
@@ -125,7 +125,9 @@ def mhw(response, template, width: int | None = None):
     planes = np.zeros((2, cells), dtype=np.uint8)  # the tiled template, then the mask
     planes[0, :usable] = tiled
     planes[1, :usable] = 1
-    pattern, mask = words_to_octets(bits_to_words(planes.reshape(-1, width)), width).reshape(2, -1)
+    # Each word's bits, most significant first, left-padded to whole bytes: the dump layout.
+    words = np.pad(planes.reshape(-1, width)[:, ::-1], ((0, 0), (-width % 8, 0)))
+    pattern, mask = np.packbits(words, axis=1).reshape(2, -1)
     diff = np.bitwise_xor(arr, pattern)
     return _per_reading(_ones(np.bitwise_and(diff, mask, out=diff)) / usable)
 

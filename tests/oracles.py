@@ -16,11 +16,13 @@ imprint, summed again at every power-up, gives the reference latent and
 bits of ``simchip``.  The scripted session of criterion 6 lives here too:
 sent one command at a time, it is the reference transcript that pipelined
 sends must reproduce.
-So does the strategy for random floorplans inside the wire limits.
+So does the strategy for random floorplans inside the wire limits, and
+the closed forms of PAPER.md's process model.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -346,3 +348,10 @@ def power_up_reference(entry, params, chip_seed, cycle_seed):
     """(mismatch + imprint, power-up bits) of one device by the two-array simulator."""
     dev = _sample_device(entry, params, chip_seed)
     return dev.mismatch.reshape(-1) + dev.imprint, _power_up(dev, params, cycle_seed).bits
+
+
+def one_probability(params: ProcessParams, imprint_sign: int) -> float:
+    """Probability that a cell whose imprint is ``imprint_sign`` * beta powers up to 1:
+    Phi(imprint_sign * beta / sqrt(sigma_mismatch^2 + sigma_noise^2)), both Gaussian."""
+    z = imprint_sign * params.beta / math.hypot(params.sigma_mismatch, params.sigma_noise)
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))

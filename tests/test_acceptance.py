@@ -4,6 +4,7 @@ Each test carries its criterion number in the name; see conftest for the
 per-criterion PASS/FAIL summary printed after the run.
 """
 
+import hashlib
 import socket
 import time
 from math import erf, sqrt
@@ -28,6 +29,8 @@ from srampuf.simchip import ChipBank, DesignEntry, ProcessParams
 SEED = 20260814
 CHIPS = 50
 CYCLES = 10
+# sha256 of a seed-123 server's replies to scripted_commands(1000) (criterion 6)
+TRANSCRIPT_SHA256 = "2a27cdc7b52b0212761f1d1700381dbcda392f0de64afe2a3afdafb816c682d9"
 
 # (MHW endpoint farthest from 0.5, published lower entropy endpoint)
 ENTROPY_TABLE = [
@@ -185,15 +188,19 @@ def test_criterion_6_protocol_bit_exactness():
             decoded = words_to_bits(wire.decode_data_frames(table, width), width)
             assert list(decoded[0]) == list(word)
 
+    # The replies are pinned across commits, sent one command at a time and as one blob.
     commands = scripted_commands(1000)
-    transcripts = []
-    for _ in range(2):
-        with ChipServer(DEFAULT_DESIGNS, ProcessParams(), 123) as server:
-            transcripts.append(_transcript(server.endpoint, commands))
-    assert transcripts[0] == transcripts[1]
-    starts = {frame[0] >> 5 for frame in transcripts[0]}
+    with ChipServer(DEFAULT_DESIGNS, ProcessParams(), 123) as server:
+        frames = _transcript(server.endpoint, commands)
+    with ChipServer(DEFAULT_DESIGNS, ProcessParams(), 123) as server:
+        with socket.create_connection(server.endpoint) as sock:
+            sock.sendall(b"".join(commands))
+            blob = _recv_exact(sock, len(commands) * wire.FRAME_LEN)
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == TRANSCRIPT_SHA256
+    assert hashlib.sha256(blob).hexdigest() == TRANSCRIPT_SHA256
+    starts = {frame[0] >> 5 for frame in frames}
     assert starts == {0b101, 0b000}  # both data and error frames exercised
-    assert all(len(frame) == 9 for frame in transcripts[0])
+    assert all(len(frame) == 9 for frame in frames)
 
 
 def test_criterion_7_pipeline_determinism(tmp_path):
